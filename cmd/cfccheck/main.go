@@ -18,6 +18,7 @@
 //	cfccheck -serve :9401         # coordinate the portfolio over the fabric
 //	cfccheck -join host:9401      # join a coordinator as a worker
 //	cfccheck -serve :9401 -shards 2              # shard explorations too
+//	cfccheck -n 3 -cpuprofile check.prof          # profile the run
 //
 // The job list is the fleet's workload registry (internal/fleet): the
 // same named programs cmd/cfcfleet storms at n = 16-64 are proved here
@@ -59,6 +60,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -99,8 +101,23 @@ func run() int {
 		join       = flag.String("join", "", "join a fabric coordinator at this TCP address as a worker")
 		shards     = flag.Int("shards", 0, "with -serve: >1 shards every job across the workers (frontier subtrees; DPOR jobs as expansion waves)")
 		jobtimeout = flag.Duration("jobtimeout", 5*time.Minute, "with -serve: abandon (DEGRADED) a job not completed this long after dispatch (0 = never)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	)
 	flag.Parse()
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cfccheck: -cpuprofile: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "cfccheck: -cpuprofile: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	if *join != "" {
 		// A worker needs no job list: the coordinator names the work and

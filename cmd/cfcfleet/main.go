@@ -10,6 +10,7 @@
 //	cfcfleet -seed 1 -n 32 -runs 1000                     # default scenarios
 //	cfcfleet -seed 1 -scenarios crashstorm,burst,mixed -n 32 -runs 100000
 //	cfcfleet -scenarios broken -runs 200 -artifacts out/   # promote a violation
+//	cfcfleet -seed 1 -n 16 -runs 200 -cpuprofile fleet.prof # profile the run
 //
 // A dataset written with -dataset can be grepped offline without
 // re-running anything:
@@ -40,6 +41,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -49,6 +51,10 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	var (
 		seed      = flag.Int64("seed", 1, "fleet base seed (every run derives from it)")
 		n         = flag.Int("n", 32, "processes per run")
@@ -66,27 +72,43 @@ func main() {
 		grep      = flag.String("grep", "", "query an existing -dataset instead of running: comma-separated verdict=/scenario=/workload=/digest= terms, plus bare 'violations'")
 		diff      = flag.Bool("diff", false, "compare two datasets (the two positional args) by execution digest instead of running")
 		limit     = flag.Int("limit", 0, "with -grep or -diff, cap the printed matches per category (0 = all)")
+
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	)
 	flag.Parse()
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cfcfleet: -cpuprofile: %v\n", err)
+			return 2
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "cfcfleet: -cpuprofile: %v\n", err)
+			return 2
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	if *grep != "" {
 		if err := runGrep(*dataset, *grep, *limit); err != nil {
 			fmt.Fprintf(os.Stderr, "cfcfleet: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	if *diff {
 		drifted, err := runDiff(flag.Arg(0), flag.Arg(1), *limit)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cfcfleet: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if drifted {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *list {
@@ -102,7 +124,7 @@ func main() {
 		for _, w := range fleet.Portfolio(*n) {
 			fmt.Printf("  %s\n", w.Name)
 		}
-		return
+		return 0
 	}
 
 	opts := fleet.Options{
@@ -135,7 +157,7 @@ func main() {
 		w, err := lode.Create(*dataset)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cfcfleet: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		opts.Dataset = w
 	}
@@ -144,12 +166,12 @@ func main() {
 	rep, err := fleet.Run(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cfcfleet: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	if opts.Dataset != nil {
 		if err := opts.Dataset.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "cfcfleet: close dataset: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Printf("DATASET dir=%s records=%d\n", *dataset, opts.Dataset.Total())
 	}
@@ -198,8 +220,9 @@ func main() {
 		float64(ms.HeapAlloc)/(1<<20), peakRSSMB())
 
 	if rep.Violations() > 0 || rep.Degraded() {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runGrep queries an existing dataset: parse the -grep expression into a

@@ -310,7 +310,21 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 	for i := range scs {
 		scs[i] = newDScratch(maxDepth, nprocs)
 	}
+	// Stage pass: workers pull tasks from a shared index. Order of
+	// processing is irrelevant by design (see the file comment). The
+	// calling goroutine is worker 0, so a one-worker exploration starts
+	// no goroutine at all.
 	var stages []dstage
+	var idx atomic.Int64
+	work := func(id int) {
+		for !e.cancel.Load() {
+			i := int(idx.Add(1)) - 1
+			if i >= len(stages) {
+				return
+			}
+			e.runStage(id, cores[id], scs[id], &stages[i])
+		}
+	}
 	for len(e.wave) > 0 {
 		if cap(stages) < len(e.wave) {
 			stages = make([]dstage, len(e.wave))
@@ -319,23 +333,16 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 		for i := range stages {
 			stages[i] = dstage{t: e.wave[i]}
 		}
-		// Stage pass: workers pull tasks from a shared index. Order of
-		// processing is irrelevant by design (see the file comment).
-		var idx atomic.Int64
+		idx.Store(0)
 		var wg sync.WaitGroup
-		for w := 0; w < min(workers, len(stages)); w++ {
+		for w := 1; w < min(workers, len(stages)); w++ {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				for !e.cancel.Load() {
-					i := int(idx.Add(1)) - 1
-					if i >= len(stages) {
-						return
-					}
-					e.runStage(id, cores[id], scs[id], &stages[i])
-				}
+				work(id)
 			}(w)
 		}
+		work(0)
 		wg.Wait()
 		if e.firstErr != nil {
 			return Result{}, e.firstErr

@@ -223,13 +223,17 @@ func (c *coord) acceptLoop(ln Listener) {
 		if err != nil {
 			return
 		}
-		cn := newConn(rwc, c.events, c.closed)
+		// The loop drops frames from connections it does not know, so the
+		// connection is announced before its reader may deliver one: a
+		// hello already in flight would otherwise be lost.
+		cn := newConn(rwc)
 		select {
 		case c.events <- event{kind: evConn, c: cn}:
 		case <-c.closed:
 			cn.close()
 			return
 		}
+		go cn.read(c.events, c.closed)
 	}
 }
 
@@ -708,8 +712,9 @@ func (c *coord) shutdown() {
 }
 
 // conn is one worker connection as the coordinator sees it: a reader
-// goroutine turning frames into events, and a writer goroutine draining
-// a buffered queue — so the event loop never blocks on a peer's pace
+// goroutine turning frames into events (started by the accept loop once
+// the connection is announced), and a writer goroutine draining a
+// buffered queue — so the event loop never blocks on a peer's pace
 // (net.Pipe writes are rendezvous; TCP buffers can fill).
 type conn struct {
 	rwc  io.ReadWriteCloser
@@ -725,26 +730,9 @@ type conn struct {
 // the loop once the connection is dropped.
 const outQueue = 256
 
-func newConn(rwc io.ReadWriteCloser, events chan event, closed chan struct{}) *conn {
+// newConn starts the connection's writer; read is its reader.
+func newConn(rwc io.ReadWriteCloser) *conn {
 	cn := &conn{rwc: rwc, out: make(chan *Msg, outQueue), quit: make(chan struct{})}
-	go func() { // reader
-		br := bufio.NewReaderSize(rwc, 64<<10)
-		for {
-			var m Msg
-			if err := ReadFrame(br, &m); err != nil {
-				select {
-				case events <- event{kind: evGone, c: cn, err: err}:
-				case <-closed:
-				}
-				return
-			}
-			select {
-			case events <- event{kind: evMsg, c: cn, msg: &m}:
-			case <-closed:
-				return
-			}
-		}
-	}()
 	go func() { // writer
 		for {
 			select {
@@ -763,6 +751,26 @@ func newConn(rwc io.ReadWriteCloser, events chan event, closed chan struct{}) *c
 		}
 	}()
 	return cn
+}
+
+// read turns the connection's frames into events until it fails.
+func (cn *conn) read(events chan event, closed chan struct{}) {
+	br := bufio.NewReaderSize(cn.rwc, 64<<10)
+	for {
+		var m Msg
+		if err := ReadFrame(br, &m); err != nil {
+			select {
+			case events <- event{kind: evGone, c: cn, err: err}:
+			case <-closed:
+			}
+			return
+		}
+		select {
+		case events <- event{kind: evMsg, c: cn, msg: &m}:
+		case <-closed:
+			return
+		}
+	}
 }
 
 // send queues a frame; it never blocks longer than the connection lives.

@@ -11,6 +11,11 @@ import (
 // equal digests emitted identical event streams (same schedule, same
 // observed register values, same outputs); the digest lands in each
 // Record so a dataset can prove which runs a sweep actually executed.
+//
+// The value is FNV-1a over each field's 8 little-endian bytes, in the
+// order Event folds them. fnv1a skips a field's zero high bytes without
+// changing that value, so the digests of any two datasets stay
+// comparable with cfcfleet -diff.
 type DigestSink struct {
 	H        uint64 // FNV-1a over all event fields, in order
 	Events   int64
@@ -24,13 +29,28 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// fnvPrimePow[k] is fnvPrime^k (mod 2^64).
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// fnv1a folds v's 8 little-endian bytes into h. A zero byte's round is
+// h *= fnvPrime, since xor with zero is the identity, so once only the
+// lowest of the k bytes left can be nonzero, the k remaining rounds are
+// one xor and one multiplication by fnvPrime^k. A field that fits in
+// one byte costs only that.
 func fnv1a(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
+	k := 8
+	for ; v > 0xff; v >>= 8 {
 		h ^= v & 0xff
 		h *= fnvPrime
-		v >>= 8
+		k--
 	}
-	return h
+	return (h ^ v) * fnvPrimePow[k]
 }
 
 // Begin resets the sink for a new run.

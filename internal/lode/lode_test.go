@@ -1,6 +1,7 @@
 package lode
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -185,5 +186,41 @@ func TestDigestSink(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("digest sink allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// fnv1aBytes is FNV-1a over v's 8 little-endian bytes, one round per
+// byte: the definition fnv1a must reproduce.
+func fnv1aBytes(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+// TestFNV1aMatchesByteLoop pins fnv1a to the byte loop: edge values at
+// every byte length and random (h, v) pairs, whose v keep a random count
+// of 0-8 low bytes so that every zero-byte tail length is covered.
+func TestFNV1aMatchesByteLoop(t *testing.T) {
+	vs := []uint64{0, 1, 255, 256, 1 << 63, ^uint64(0)}
+	for b := 0; b < 64; b += 8 {
+		vs = append(vs, 1<<b, 1<<b-1, 0xff<<b)
+	}
+	hs := []uint64{0, 1, fnvOffset, ^uint64(0)}
+	for _, h := range hs {
+		for _, v := range vs {
+			if got, want := fnv1a(h, v), fnv1aBytes(h, v); got != want {
+				t.Fatalf("fnv1a(%#x, %#x) = %#x, want %#x", h, v, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		h, v := rng.Uint64(), rng.Uint64()>>(8*rng.Intn(9))
+		if got, want := fnv1a(h, v), fnv1aBytes(h, v); got != want {
+			t.Fatalf("fnv1a(%#x, %#x) = %#x, want %#x", h, v, got, want)
+		}
 	}
 }

@@ -200,73 +200,87 @@ type CrashWindow struct {
 //
 // Windows extends the one-shot CrashAt map to full crash/recovery storms:
 // Windows[pid] is a sequence of crash/restart cycles applied in order
-// (crash, restart, crash again, ...). A pid may appear in CrashAt or
-// Windows, not both; CrashAt[pid] = s is equivalent to a single final
-// window {Crash: s, Restart: -1}. Restarts are injected in increasing pid
-// order too, and when no process has a pending event the earliest-pid due
-// restart is injected immediately (regardless of its Restart step, which
-// could otherwise never be reached — steps only advance while something
-// runs).
+// (crash, restart, crash again, ...). A pid belongs in CrashAt or
+// Windows, not both (CrashAt wins if it is in both); CrashAt[pid] = s is
+// equivalent to a single final window {Crash: s, Restart: -1}.
+// Restarts are injected in increasing pid order too, and when no process
+// has a pending event the earliest-pid due restart is injected
+// immediately (regardless of its Restart step, which could otherwise
+// never be reached — steps only advance while something runs).
+//
+// CrashAt and Windows are read once, at the first Next, into dense
+// per-pid slices; changing them afterwards has no effect. From then on a
+// decision costs a few slice reads per ready pid and, only while some
+// crashed pid has a restart to come, one pass over the pids, on top of
+// the inner scheduler's own cost. CanRestart is a counter read.
 type Crasher struct {
 	Inner   Scheduler
 	CrashAt map[int]int           // pid -> step index at (or after) which it crashes
 	Windows map[int][]CrashWindow // pid -> crash/recovery cycles, in order
 
-	crashed map[int]bool
-	winpos  map[int]int // pid -> index of the active window in Windows[pid]
+	wins      [][]CrashWindow // pid -> cycles; nil until the first Next
+	crashed   []bool
+	winpos    []int // pid -> index of the active window in wins[pid]
+	revivable int   // crashed pids whose active window has a restart
 }
 
-// window returns the active crash window of pid, or ok=false when its
-// schedule is exhausted.
-func (c *Crasher) window(pid int) (CrashWindow, bool) {
-	if at, ok := c.CrashAt[pid]; ok {
-		if c.winpos[pid] > 0 {
-			return CrashWindow{}, false
+// fold builds the dense per-pid state from CrashAt and Windows, once.
+// Negative pids name no process and are dropped.
+func (c *Crasher) fold() {
+	if c.wins != nil {
+		return
+	}
+	size := 0
+	for pid := range c.CrashAt {
+		size = max(size, pid+1)
+	}
+	for pid := range c.Windows {
+		size = max(size, pid+1)
+	}
+	c.wins = make([][]CrashWindow, size)
+	c.crashed = make([]bool, size)
+	c.winpos = make([]int, size)
+	for pid, ws := range c.Windows {
+		if pid >= 0 {
+			c.wins[pid] = ws
 		}
-		return CrashWindow{Crash: at, Restart: -1}, true
 	}
-	ws := c.Windows[pid]
-	if i := c.winpos[pid]; i < len(ws) {
-		return ws[i], true
-	}
-	return CrashWindow{}, false
-}
-
-func (c *Crasher) init() {
-	if c.crashed == nil {
-		c.crashed = make(map[int]bool, len(c.CrashAt)+len(c.Windows))
-		c.winpos = make(map[int]int, len(c.CrashAt)+len(c.Windows))
+	for pid, at := range c.CrashAt {
+		if pid >= 0 {
+			c.wins[pid] = []CrashWindow{{Crash: at, Restart: -1}}
+		}
 	}
 }
 
 // Next implements Scheduler.
 func (c *Crasher) Next(ready []int, step int) Decision {
-	c.init()
+	c.fold()
 	for _, pid := range ready {
-		w, ok := c.window(pid)
-		if ok && !c.crashed[pid] && step >= w.Crash {
+		if pid >= len(c.wins) || c.crashed[pid] {
+			continue
+		}
+		if i := c.winpos[pid]; i < len(c.wins[pid]) && step >= c.wins[pid][i].Crash {
 			c.crashed[pid] = true
+			if c.wins[pid][i].Restart >= 0 {
+				c.revivable++
+			}
 			return Crash(pid)
 		}
 	}
 	// Restarts, in pid order; forced when nothing else can run.
-	victim := -1
-	for pid := range c.crashed {
-		if !c.crashed[pid] {
-			continue
+	if c.revivable > 0 {
+		for pid, down := range c.crashed {
+			if !down {
+				continue
+			}
+			// A crashed pid's active window is the one it crashed in.
+			if r := c.wins[pid][c.winpos[pid]].Restart; r >= 0 && (step >= r || len(ready) == 0) {
+				c.crashed[pid] = false
+				c.winpos[pid]++
+				c.revivable--
+				return Restart(pid)
+			}
 		}
-		w, ok := c.window(pid)
-		if !ok || w.Restart < 0 {
-			continue
-		}
-		if (step >= w.Restart || len(ready) == 0) && (victim < 0 || pid < victim) {
-			victim = pid
-		}
-	}
-	if victim >= 0 {
-		c.crashed[victim] = false
-		c.winpos[victim]++
-		return Restart(victim)
 	}
 	if len(ready) == 0 {
 		return Stop()
@@ -276,18 +290,7 @@ func (c *Crasher) Next(ready []int, step int) Decision {
 
 // CanRestart implements RestartCapable: a restart may yet be injected
 // while some crashed process has a window with a non-negative Restart.
-func (c *Crasher) CanRestart() bool {
-	c.init()
-	for pid, down := range c.crashed {
-		if !down {
-			continue
-		}
-		if w, ok := c.window(pid); ok && w.Restart >= 0 {
-			return true
-		}
-	}
-	return false
-}
+func (c *Crasher) CanRestart() bool { return c.revivable > 0 }
 
 // Func adapts a plain function to the Scheduler interface.
 type Func func(ready []int, step int) Decision

@@ -49,8 +49,9 @@
 // jobs as prefix-local frontier probes (descent chains riding each
 // worker's live replay session), DPOR jobs as distributed expansion
 // waves whose serial commit stays at the coordinator. The summary line
-// reports the locality counters (events_replayed/events_saved — the
-// saved column is replay work a root-replaying prober would have done).
+// reports the locality counters (events_replayed/events_saved, in
+// schedule decisions — the saved column is replay work a root-replaying
+// prober would have done).
 // Job flags (-n, -kind, -depth, ...) are the coordinator's; workers
 // need none.
 package main
@@ -270,9 +271,10 @@ func runServe(jobs []job, addr string, shards int, jobTimeout time.Duration) int
 	if stats.WallMs > 0 {
 		jobsPerS = float64(len(jobs)) / wallS
 	}
-	// events_saved counts replay work the probers' live sessions skipped;
-	// a root-replaying prober (no persistent session) would have executed
-	// events_replayed+events_saved events, so locality_ratio is the
+	// events_saved counts replay work the probers' live sessions skipped,
+	// by extending or by rewinding only the processes that moved; a
+	// root-replaying prober (no persistent session) would have executed
+	// events_replayed+events_saved decisions, so locality_ratio is the
 	// prefix-locality win of this run.
 	locality := 1.0
 	if stats.EventsReplayed > 0 {

@@ -368,7 +368,8 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 
 	// First branch first: the live session's decision stack still equals
 	// schedule here, so the child's Seek extends it by one event instead
-	// of replaying the prefix; later siblings rebuild from the root.
+	// of replaying the prefix; a later sibling rewinds the session to
+	// this node, re-running only the processes that moved below it.
 	br, reduced := e.provider.branches(&e.core, live, schedule, sleep)
 	if reduced {
 		e.reduced++
@@ -380,14 +381,15 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	// and the branch's pending step, so the keys of all siblings can be
 	// computed in one pass over the shared parent state. A child whose
 	// key is already visited is skipped without a session Seek — which
-	// for every sibling after the first would replay the whole schedule
-	// prefix from the root. Terminal, violating and depth-truncated
-	// children never enter the visited set (dfs returns before marking),
-	// so the peek can only skip children dfs would prune anyway; the
-	// depth guard keeps the boundary case (child at maxDepth must report
-	// Truncated) on the replay path. Serial non-POR explorer only: under
-	// POR the key mixes in the child's normalised sleep set, which is not
-	// known until the child's own pending steps are.
+	// for every sibling after the first would rewind the session and
+	// re-run the processes the first sibling's subtree moved. Terminal,
+	// violating and depth-truncated children never enter the visited set
+	// (dfs returns before marking), so the peek can only skip children
+	// dfs would prune anyway; the depth guard keeps the boundary case
+	// (child at maxDepth must report Truncated) on the replay path.
+	// Serial non-POR explorer only: under POR the key mixes in the
+	// child's normalised sleep set, which is not known until the child's
+	// own pending steps are.
 	var skip []bool
 	if !e.por && len(schedule)+1 < e.maxDepth {
 		pend := e.core.pendingOps()

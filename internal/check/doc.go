@@ -23,8 +23,11 @@
 // (sim.Session.Seek) is the core of the exploration's economics: in
 // depth-first order the next node's schedule almost always has the
 // session's current stack as a prefix, and Seek then extends the live run
-// by a single decision instead of replaying the prefix; only sibling
-// switches rebuild from the root, paying exactly the schedule length.
+// by a single decision instead of replaying the prefix. A sibling switch
+// rewinds to the common prefix: only the processes that acted after it
+// are re-run, fed their recorded responses, while the others stay parked,
+// so it pays those processes' kept steps plus the new decisions rather
+// than the whole schedule.
 //
 // # Partial-order reduction
 //

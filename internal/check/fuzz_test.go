@@ -48,19 +48,19 @@ type fuzzOp struct {
 // on earlier observations — the interesting case for a dynamic
 // reduction, because independence then varies along the path.
 const (
-	fopBitRead   byte = iota // acc = read bit
-	fopBitWrite              // write bit val&1
-	fopTAS                   // acc = test-and-set
-	fopTAR                   // acc = test-and-reset
-	fopTAF                   // acc = test-and-flip
-	fopFlip                  // flip (no return)
-	fopSkip                  // skip (touch without reading)
-	fopWordRead              // acc = read word
-	fopWordImm               // write word immediate
-	fopWordAcc               // write word from accumulator
-	fopLocal                 // local computation step
-	fopExitIf                // if acc != 0 { output val&3; return }
-	fopKinds                 // count — keep last
+	fopBitRead  byte = iota // acc = read bit
+	fopBitWrite             // write bit val&1
+	fopTAS                  // acc = test-and-set
+	fopTAR                  // acc = test-and-reset
+	fopTAF                  // acc = test-and-flip
+	fopFlip                 // flip (no return)
+	fopSkip                 // skip (touch without reading)
+	fopWordRead             // acc = read word
+	fopWordImm              // write word immediate
+	fopWordAcc              // write word from accumulator
+	fopLocal                // local computation step
+	fopExitIf               // if acc != 0 { output val&3; return }
+	fopKinds                // count — keep last
 )
 
 // fuzzProgram is a decoded micro-program: a tiny shared memory plus one

@@ -23,10 +23,9 @@ import (
 //
 // Each worker chases chains: after expanding a node it continues with the
 // node's first branch in place, which Session.Seek turns into a single
-// extension of the live run. Only stolen or popped nodes pay a replay
-// from the root, and those replays are the schedule-sharing boundary —
-// the longest common prefix of consecutive local pops is typically the
-// whole parent path.
+// extension of the live run. Only stolen or popped nodes pay a rewind,
+// and only for the processes that moved after the longest common prefix
+// of consecutive local pops, which is typically the whole parent path.
 //
 // Verdicts match the serial explorer exactly. For explorations that
 // complete within their budgets this is a theorem, not luck: the visited

@@ -23,8 +23,8 @@ type replayCore struct {
 	// reallocated per node. The live session doubles as a cursor:
 	// Session.Seek extends it in place whenever the target schedule has
 	// the session's decision stack as a prefix — in depth-first order
-	// that is every first branch — and rebuilds from the root only on
-	// divergence.
+	// that is every first branch — and on divergence re-runs only the
+	// processes that acted after the common prefix.
 	arena  *sim.Arena
 	sess   *sim.Session
 	hist   [][]histEntry
@@ -70,32 +70,21 @@ const (
 	statusCrashed
 )
 
-// stateAt positions the live session at the given schedule — extending it
-// in place when the current decision stack is a prefix, replaying from
-// the root otherwise — and returns the trace plus the set of processes
-// that are still live (can be scheduled). The trace aliases the session:
-// it is valid only until the session advances or is replaced.
-// seekCost reports how many events positioning the live session at
-// schedule would replay: the schedule minus the session's depth when the
-// session's decision stack is a prefix of the target (Session.Seek then
-// extends in place), the whole schedule otherwise. Pure accounting —
-// stateAt does the actual work.
-func (c *replayCore) seekCost(schedule []int) int {
-	if c.sess == nil || c.sess.Err() != nil {
-		return len(schedule)
+// executed is the live session's executed-decision count
+// (sim.Session.Executed), zero before the first replay; probers charge
+// each probe the difference across its stateAt.
+func (c *replayCore) executed() int {
+	if c.sess == nil {
+		return 0
 	}
-	dec := c.sess.Decisions()
-	if len(dec) > len(schedule) {
-		return len(schedule)
-	}
-	for i, d := range dec {
-		if schedule[i] != d {
-			return len(schedule)
-		}
-	}
-	return len(schedule) - len(dec)
+	return c.sess.Executed()
 }
 
+// stateAt positions the live session at the given schedule — extending it
+// in place when the current decision stack is a prefix, rewinding the
+// processes that moved otherwise — and returns the trace plus the set of
+// processes that are still live (can be scheduled). The trace aliases the
+// session: it is valid only until the session advances or is replaced.
 func (c *replayCore) stateAt(schedule []int) (*sim.Trace, []int, error) {
 	if c.sess == nil {
 		sess, err := sim.StartSession(sim.Config{

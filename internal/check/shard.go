@@ -51,7 +51,7 @@ import (
 // worker keeps descending its own subtree, and Next pops a worker's own
 // deque from the tail — deepest first, then sorts the batch into DFS
 // order — so consecutive probes extend the prober's live session by one
-// decision instead of rebuilding it from the root. An idle owner steals
+// decision or rewind it only a little. An idle owner steals
 // from the head of the fullest other deque (shallowest nodes: whole
 // subtrees change owner, and their descendants follow via the routing
 // rule), so a slow worker delays nothing and a dead worker's deque
@@ -61,14 +61,15 @@ import (
 // get byte-identical results.
 //
 // Deque order alone cannot deliver the replay win, though, because a
-// frontier is an antichain: no pending node extends another, so an
-// extend-only session (bodies cannot run backwards — Session.Seek
-// rebuilds from the root on any divergence) replays every probe in a
-// batch from scratch no matter how the batch is sorted. The locality
-// win comes from DESCENT: having probed an expandable node, the prober
+// frontier is an antichain: no pending node extends another, so every
+// probe in a batch diverges from the session the previous one left, and
+// Session.Seek rewinds to their common prefix — re-running the
+// processes that moved since, which is cheaper than a root replay but
+// not free — no matter how the batch is sorted. The larger win comes
+// from DESCENT: having probed an expandable node, the prober
 // immediately probes its first branch — a one-decision extension of the
-// live session, costing one replayed event instead of a root replay —
-// and keeps descending first branches until it hits a leaf, a
+// live session, costing one decision instead of a rewind — and keeps
+// descending first branches until it hits a leaf, a
 // violation, the depth bound or its dedup cache. Probe therefore
 // returns a CHAIN of reports, one per descended node. The master
 // consumes the chain in order, arbitrating each link against the
@@ -147,21 +148,31 @@ type ProbeReport struct {
 	Branches []Branch `json:"branches,omitempty"`
 }
 
-// ProbeStats counts a prober's replay work. A PR 9-style prober with no
-// live-session reuse would have executed Replayed+Saved events; the
+// ProbeStats counts a prober's replay work in schedule decisions. A
+// prober that replayed every probe from the root would have executed
+// Replayed+Saved decisions, the probed schedules' total length; the
 // ratio of that sum to Replayed is the prefix-locality win.
 type ProbeStats struct {
 	// Probes is the number of nodes probed.
 	Probes int64
-	// Replayed is the number of schedule events actually re-executed.
+	// Replayed is the number of decisions actually executed to position
+	// the live session (sim.Session.Executed): decisions performed, plus
+	// decisions a rewind re-fed to the processes that moved.
 	Replayed int64
-	// Saved is the number of schedule events skipped because the live
-	// session's decision stack was already a prefix of the target
-	// (Session.Seek's in-place extension).
+	// Saved is the rest of the probed schedules: decisions the live
+	// session already held, in the prefix it extended or in the
+	// processes a rewind left parked.
 	Saved int64
 	// Deduped is the number of reports elided by the advisory dedup
 	// cache (ProbeReport.Dup).
 	Deduped int64
+}
+
+// account charges one probe of an n-decision schedule that cost the
+// session executed decisions.
+func (s *ProbeStats) account(executed, n int) {
+	s.Replayed += int64(executed)
+	s.Saved += int64(n - executed)
 }
 
 // Prober executes frontier-node probes for one program: the worker side
@@ -245,13 +256,12 @@ func (p *Prober) probeOne(nd Node) (rep ProbeReport, err error) {
 		}
 	}()
 	p.stats.Probes++
-	cost := p.core.seekCost(nd.Schedule)
-	p.stats.Replayed += int64(cost)
-	p.stats.Saved += int64(len(nd.Schedule) - cost)
+	before := p.core.executed()
 	tr, live, err := p.core.stateAt(nd.Schedule)
 	if err != nil {
 		return ProbeReport{}, err
 	}
+	p.stats.account(p.core.executed()-before, len(nd.Schedule))
 	if perr := p.prop(tr); perr != nil {
 		rep.Violation = &Violation{Schedule: append([]int(nil), nd.Schedule...), Err: perr}
 		return rep, nil

@@ -213,13 +213,12 @@ func (p *WaveProber) ProbeWave(nd Node) (rep WaveReport, err error) {
 		}
 	}()
 	p.stats.Probes++
-	cost := p.core.seekCost(nd.Schedule)
-	p.stats.Replayed += int64(cost)
-	p.stats.Saved += int64(len(nd.Schedule) - cost)
+	before := p.core.executed()
 	verr, err := p.cfg.stage(&p.core, p.sc, nd.Schedule, nd.Sleep, &rep)
 	if err != nil {
 		return WaveReport{}, err
 	}
+	p.stats.account(p.core.executed()-before, len(nd.Schedule))
 	if verr != nil {
 		rep.HasViol = true
 		rep.Viol = verr.Error()

@@ -56,8 +56,9 @@ type Stats struct {
 	// waves.
 	WaveTasks int
 	// EventsReplayed and EventsSaved sum the workers' replay accounting
-	// (check.ProbeStats): events actually re-executed positioning live
-	// sessions, and events skipped by prefix reuse. A root-replaying
+	// (check.ProbeStats), in schedule decisions: decisions actually
+	// executed positioning live sessions, and the rest of the probed
+	// schedules, which extensions and rewinds kept. A root-replaying
 	// fabric would have executed Replayed+Saved.
 	EventsReplayed int64
 	EventsSaved    int64
@@ -111,8 +112,11 @@ func Coordinate(tr Transport, addr string, jobs []Job, reg Registry, co CoordOpt
 		closed: make(chan struct{}),
 		conns:  make(map[*conn]*workerState),
 	}
-	defer close(c.closed)
-	go c.acceptLoop(ln)
+	acceptDone := make(chan struct{})
+	go func() {
+		defer close(acceptDone)
+		c.acceptLoop(ln)
+	}()
 
 	var tick <-chan time.Time
 	if co.JobTimeout > 0 {
@@ -151,7 +155,7 @@ func Coordinate(tr Transport, addr string, jobs []Job, reg Registry, co CoordOpt
 		results[i].Sharded = true
 		results[i].Ms = time.Since(t0).Milliseconds()
 	}
-	c.shutdown()
+	c.shutdown(ln, acceptDone)
 	return results, Stats{
 		Workers: c.workersSeen, Probes: c.probes, WaveTasks: c.waveTasks,
 		EventsReplayed: c.evReplayed, EventsSaved: c.evSaved,
@@ -469,8 +473,8 @@ func (c *coord) shardPass(j Job, opts check.Options, tick <-chan time.Time) (che
 	for !master.Done() {
 		// Keep every open worker's probe window full. Next pops the
 		// worker's own subtree deque first (stealing when idle) and sorts
-		// the batch into DFS order, so consecutive probes extend the
-		// worker's live session instead of replaying from the root.
+		// the batch into DFS order, so consecutive probes extend or
+		// shallowly rewind the worker's live session.
 		for cn, w := range c.conns {
 			if !w.shardOpen {
 				continue
@@ -701,9 +705,20 @@ func (c *coord) runWaves(j Job, tick <-chan time.Time) (check.Result, string, bo
 	return res, "", false
 }
 
-// shutdown says goodbye to every worker and closes the connections,
-// flushing queued frames first.
-func (c *coord) shutdown() {
+// shutdown stops the accept loop, then says goodbye to every worker and
+// closes the connections, flushing queued frames first. A worker that
+// connected after the event loop's last read was announced but never
+// admitted; its connection is still in the event buffer, and without
+// the goodbye it would wait for work forever.
+func (c *coord) shutdown(ln Listener, acceptDone <-chan struct{}) {
+	ln.Close()
+	close(c.closed)
+	<-acceptDone
+	for len(c.events) > 0 {
+		if ev := <-c.events; ev.kind == evConn {
+			c.admit(ev.c)
+		}
+	}
 	for cn := range c.conns {
 		cn.send(&Msg{T: MsgBye})
 		cn.closeAfterDrain()

@@ -43,9 +43,9 @@
 //
 // # Locality
 //
-// Frontier scheduling is prefix-local so that worker probers — whose
-// sim sessions can extend but never rewind (any divergence is a restart
-// and full replay from the root) — mostly extend:
+// Frontier scheduling is prefix-local so that worker probers — whose sim
+// sessions extend in place and rewind any divergence by re-running the
+// processes that moved since the common prefix — mostly extend:
 //
 //   - Affinity: a node's children are routed to the deque of the worker
 //     that reported them, and each owner's batch is drained deepest-
@@ -71,9 +71,10 @@
 // coordinator's visited set stays authoritative, and a dedup reply the
 // master cannot arbitrate is re-dispatched with the cache bypassed
 // (Node.Full), which always makes progress. Probe replies carry
-// replayed/saved event deltas; cfccheck surfaces them in FABRIC-SUMMARY
-// as the locality ratio (baseline events over replayed events, where
-// the baseline is what root-replay-per-node would have executed).
+// replayed/saved decision deltas (check.ProbeStats); cfccheck surfaces
+// them in FABRIC-SUMMARY as the locality ratio (the probed schedules'
+// total length over the decisions the sessions actually executed, so it
+// counts cheap rewinds as well as extensions).
 //
 // # Guarantees
 //
@@ -114,7 +115,7 @@
 //     shared prefixes DFS-sorted batches are built from;
 //
 //   - probe replies carry one descent chain ([]Report) per dispatched
-//     node instead of a single report, plus replayed/saved event
+//     node instead of a single report, plus replayed/saved decision
 //     deltas;
 //
 //   - wave/waved frames (MsgWave, MsgWaved) carry DPOR wave chunks and

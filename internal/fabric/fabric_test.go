@@ -2,7 +2,9 @@ package fabric_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -92,11 +94,80 @@ func assertEqual(t *testing.T, name string, want, got check.Result) {
 	}
 }
 
+// gatedTransport is a pipe transport whose coordinator sends no frame
+// until the hellos of all n workers are in its event queue. A small job
+// list takes milliseconds, so without the gate the first worker to join
+// can drain the queue before the others' hellos are read, and a test
+// that counts workers would race them.
+type gatedTransport struct {
+	*fabric.PipeTransport
+	n int
+}
+
+func (t gatedTransport) Serve(addr string) (fabric.Listener, error) {
+	ln, err := t.PipeTransport.Serve(addr)
+	if err != nil {
+		return nil, err
+	}
+	return gatedListener{ln, &gate{n: t.n, open: make(chan struct{})}}, nil
+}
+
+// gate opens once n connections have arrived.
+type gate struct {
+	mu   sync.Mutex
+	n    int
+	open chan struct{}
+}
+
+func (g *gate) arrive() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.n--; g.n == 0 {
+		close(g.open)
+	}
+}
+
+type gatedListener struct {
+	fabric.Listener
+	g *gate
+}
+
+func (l gatedListener) Accept() (io.ReadWriteCloser, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{ReadWriteCloser: c, g: l.g}, nil
+}
+
+// gatedConn is the coordinator's end of one worker connection. A pipe
+// read returns one whole frame, so its second Read means the coordinator
+// has read the worker's hello and queued it as an event; its writes wait
+// until every worker got that far.
+type gatedConn struct {
+	io.ReadWriteCloser
+	g     *gate
+	reads int
+}
+
+func (c *gatedConn) Read(b []byte) (int, error) {
+	if c.reads++; c.reads == 2 {
+		c.g.arrive()
+	}
+	return c.ReadWriteCloser.Read(b)
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	<-c.g.open
+	return c.ReadWriteCloser.Write(b)
+}
+
 // coordinate runs a coordinator over the pipe transport with nWorkers
-// standard workers and returns its results.
+// standard workers, all joined before any job is dispatched, and returns
+// its results.
 func coordinate(t *testing.T, jobs []fabric.Job, nWorkers int, co fabric.CoordOptions) ([]fabric.JobResult, fabric.Stats) {
 	t.Helper()
-	pt := fabric.NewPipeTransport()
+	pt := gatedTransport{fabric.NewPipeTransport(), nWorkers}
 	var wg sync.WaitGroup
 	for i := 0; i < nWorkers; i++ {
 		wg.Add(1)
@@ -386,4 +457,99 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	wg.Wait()
 	old.rwc.Close()
 	assertEqual(t, results[0].Job.Name, want[0], results[0].Res)
+}
+
+// TestWorkEndsCleanlyWhenCoordinatorClosesFirst plays a coordinator that
+// hands out a job and closes the connection without reading the reply,
+// as a coordinator does when a job ends on a violation while a worker is
+// still answering. The worker's reply then fails to write; that is the
+// normal end of its session, not an error.
+func TestWorkEndsCleanlyWhenCoordinatorClosesFirst(t *testing.T) {
+	pt := fabric.NewPipeTransport()
+	ln, err := pt.Serve("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- fabric.Work(pt, "coord", fleetRegistry, nil) }()
+	rwc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello fabric.Msg
+	if err := fabric.ReadFrame(rwc, &hello); err != nil || hello.T != fabric.MsgHello {
+		t.Fatalf("hello: %+v, %v", hello, err)
+	}
+	job := &fabric.JobSpec{Name: "mutex/peterson-2p", N: 2, Opts: check.Options{MaxDepth: 40, CollapseSpins: true, DPOR: true}}
+	if err := fabric.WriteFrame(rwc, &fabric.Msg{T: fabric.MsgJob, ID: 1, Job: job}); err != nil {
+		t.Fatal(err)
+	}
+	rwc.Close()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("worker whose coordinator closed first: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker still running after its coordinator closed")
+	}
+}
+
+// lateTransport serves exactly one connection, handed to the accept loop
+// as soon as the coordinator listens; Dial returns its worker end. With
+// an empty job list the coordinator is done at once, so the connection
+// is announced but never admitted by the event loop.
+type lateTransport struct{ server, client net.Conn }
+
+func (t *lateTransport) Dial(string) (io.ReadWriteCloser, error) { return t.client, nil }
+
+func (t *lateTransport) Serve(string) (fabric.Listener, error) {
+	return &lateListener{conn: t.server, done: make(chan struct{})}, nil
+}
+
+type lateListener struct {
+	conn io.ReadWriteCloser // handed out by the first Accept
+	done chan struct{}
+	once sync.Once
+}
+
+func (l *lateListener) Accept() (io.ReadWriteCloser, error) {
+	if c := l.conn; c != nil {
+		l.conn = nil
+		return c, nil
+	}
+	<-l.done
+	return nil, errors.New("listener closed")
+}
+
+func (l *lateListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *lateListener) Addr() string { return "late" }
+
+// TestCoordinatorReleasesLateWorker pins shutdown against a worker that
+// connects after the coordinator's last event: the coordinator must
+// still say goodbye (or close the connection), or the worker waits for
+// work forever.
+func TestCoordinatorReleasesLateWorker(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		server, client := net.Pipe()
+		tr := &lateTransport{server: server, client: client}
+		done := make(chan error, 1)
+		go func() { done <- fabric.Work(tr, "late", fleetRegistry, nil) }()
+		if _, _, err := fabric.Coordinate(tr, "late", nil, fleetRegistry, fabric.CoordOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("iteration %d: late worker: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: late worker still waiting after the coordinator returned", i)
+		}
+	}
 }

@@ -41,20 +41,20 @@ const (
 // Msg is the single frame envelope; T selects which fields are
 // meaningful (see the message type constants).
 type Msg struct {
-	T        string             `json:"t"`
-	V        int                `json:"v,omitempty"`
-	ID       int                `json:"id,omitempty"`
-	Shard    int                `json:"shard,omitempty"`
-	Job      *JobSpec           `json:"job,omitempty"`
-	Nodes    []WireNode         `json:"nodes,omitempty"`
+	T     string     `json:"t"`
+	V     int        `json:"v,omitempty"`
+	ID    int        `json:"id,omitempty"`
+	Shard int        `json:"shard,omitempty"`
+	Job   *JobSpec   `json:"job,omitempty"`
+	Nodes []WireNode `json:"nodes,omitempty"`
 	// Reports carries one descent chain per probed node of the batch,
 	// aligned with the probe frame's Nodes.
 	Reports  [][]Report         `json:"reports,omitempty"`
 	WReports []check.WaveReport `json:"wreports,omitempty"`
 	Res      *WireResult        `json:"res,omitempty"`
 	Ms       int64              `json:"ms,omitempty"`
-	// Replayed and Saved are the probing prober's event-count deltas for
-	// this reply (see check.ProbeStats).
+	// Replayed and Saved are the probing prober's replay-count deltas
+	// for this reply (see check.ProbeStats).
 	Replayed int64  `json:"rp,omitempty"`
 	Saved    int64  `json:"sv,omitempty"`
 	Err      string `json:"err,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"syscall"
 	"time"
 
 	"cfc/internal/check"
@@ -25,7 +26,7 @@ import (
 // frames received (a Dup report just says "already told you"), which is
 // what makes coordinator-side requeueing after a worker loss sound: the
 // state dies with the connection and loses nothing.
-func Work(tr Transport, addr string, reg Registry, logw io.Writer) error {
+func Work(tr Transport, addr string, reg Registry, logw io.Writer) (err error) {
 	logf := func(format string, args ...any) {
 		if logw != nil {
 			fmt.Fprintf(logw, "fabric: "+format+"\n", args...)
@@ -35,7 +36,6 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) error {
 	// smoke script launches all three processes at once), so dialing
 	// retries briefly before giving up.
 	var rwc io.ReadWriteCloser
-	var err error
 	for attempt := 0; ; attempt++ {
 		rwc, err = tr.Dial(addr)
 		if err == nil {
@@ -47,6 +47,11 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) error {
 		time.Sleep(100 * time.Millisecond)
 	}
 	defer rwc.Close()
+	defer func() {
+		if peerClosed(err) {
+			err = nil
+		}
+	}()
 	br := bufio.NewReaderSize(rwc, 64<<10)
 	if err := WriteFrame(rwc, &Msg{T: MsgHello, V: ProtoVersion}); err != nil {
 		return err
@@ -67,11 +72,6 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) error {
 	for {
 		var m Msg
 		if err := ReadFrame(br, &m); err != nil {
-			// A closed connection is the coordinator's normal way of
-			// ending a session that already said (or raced) bye.
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
 			return err
 		}
 		switch m.T {
@@ -231,4 +231,16 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) error {
 			}
 		}
 	}
+}
+
+// peerClosed reports whether err means the coordinator closed the
+// connection. That is its normal way of ending a session that already
+// said (or raced) bye, and the worker may notice it reading the next
+// frame (end of stream) or writing a reply the coordinator no longer
+// reads (closed pipe, broken pipe, reset) — for example when a job ends
+// on a violation while this worker is still answering a chunk of it.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET)
 }

@@ -155,7 +155,8 @@ func TestSessionCrashedDoneInvariants(t *testing.T) {
 
 // TestSessionSeekRevivesCrashedProcess rewinds a session to before a
 // crash and checks the process is live again — Seek across a crash entry
-// must rebuild, not patch.
+// moves the crashed process, so the rewind starts its body afresh and
+// re-feeds it the step it took before the crash.
 func TestSessionSeekRevivesCrashedProcess(t *testing.T) {
 	mem, procs, _ := counterProgram(2)
 	s, err := StartSession(Config{Mem: mem, Procs: procs})

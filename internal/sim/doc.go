@@ -77,14 +77,25 @@
 // run: replaying the stack against a fresh copy of the program
 // reproduces the state. Session.Seek positions a session at an arbitrary
 // decision prefix, extending the live run in place when the target has
-// the current stack as a prefix and rebuilding from the root otherwise;
-// Session.TruncateTo rewinds to a prefix of the stack, and Session.Fork
-// starts an independent session, over a separately built program copy,
-// at the same checkpoint. The model checker (package check) is the
-// driving client: its depth-first exploration makes consecutive targets
-// share long prefixes, so nearly every Seek is a single-decision
-// extension, and its parallel explorer gives each worker a private
-// session positioned with Seek at stolen frontier schedules.
+// the current stack as a prefix and rewinding to the common prefix
+// otherwise; Session.TruncateTo rewinds to a prefix of the stack, and
+// Session.Fork starts an independent session, over a separately built
+// program copy, at the same checkpoint. The model checker (package
+// check) is the driving client: its depth-first exploration makes
+// consecutive targets share long prefixes, so nearly every Seek is a
+// single-decision extension, and its parallel explorer gives each worker
+// a private session positioned with Seek at stolen frontier schedules.
+//
+// A rewind relies on determinism per process, not just per program:
+// each body must be a function of its own responses alone, with no
+// state shared outside the simulated memory (a closure counter, a
+// package variable, the clock). The rewind then re-runs only the
+// processes named in the discarded decisions, feeding each its own
+// recorded responses, while every other body stays parked; it costs the
+// moved processes' kept steps plus one pass over the kept trace, not
+// the whole prefix. Each re-fed request is checked against its recorded
+// event, so a body that breaks the contract makes the rewind fail with
+// ErrDiverged instead of silently producing a different run.
 //
 // Session.PendingOps exposes the suspended processes' next requests —
 // operation, register footprint, written argument — before any of them

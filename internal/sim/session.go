@@ -15,6 +15,11 @@ var (
 	ErrMaxSteps = errors.New("sim: step budget exhausted")
 	// ErrNotCrashed reports a Restart of a process that is not crashed.
 	ErrNotCrashed = errors.New("sim: process is not crashed")
+	// ErrDiverged reports that a process body re-fed during a rewind did
+	// not reproduce its recorded run: the body is not a deterministic
+	// function of its responses (it reads state outside the simulated
+	// memory).
+	ErrDiverged = errors.New("sim: process body diverged from its recorded run")
 )
 
 // Schedule-entry encoding, shared by Session.Decisions, Seek/replay, the
@@ -56,42 +61,63 @@ func DecodeEntry(e int) (Action, int) {
 //
 // # Checkpointed decision stack
 //
-// A session records every decision it performs (Step and Crash) on a
-// decision stack, readable through Decisions. The stack is a checkpoint
-// of the whole run: process bodies are deterministic functions of the
-// values their shared-memory operations return, so replaying the stack
-// against a fresh copy of the program reproduces the session state
+// A session records every decision it performs (Step, Crash and Restart)
+// on a decision stack, readable through Decisions. The stack is a
+// checkpoint of the whole run: process bodies are deterministic functions
+// of the values their shared-memory operations return, so replaying the
+// stack against a fresh copy of the program reproduces the session state
 // exactly. Three primitives build on it:
 //
 //   - TruncateTo(k) rewinds the session to its first k decisions;
 //   - Seek(schedule) positions the session at an arbitrary decision
 //     prefix, extending the live run in place when the current stack is
-//     a prefix of the target and rewinding otherwise;
+//     a prefix of the target and rewinding to the common prefix first
+//     otherwise;
 //   - Fork(cfg) starts an independent session, over a separately built
 //     copy of the program, replayed to the same decision stack.
 //
-// Bodies are Go coroutines and cannot run backwards, so rewinding
-// physically restarts the program and replays the kept prefix from the
-// root; the primitives' value is that extending (the common case in
-// depth-first exploration, where consecutive targets share long
-// prefixes) costs only the new decisions. Seek makes that policy
-// explicit: it replays the shortest suffix the coroutine model allows.
+// # Rewinding by process
+//
+// Bodies are Go coroutines and cannot run backwards, but each body is a
+// deterministic function of its own responses, so only the bodies that
+// acted after the rewind point need to run again. A rewind to decision k
+// keeps every body not named in the discarded decisions parked where it
+// is, cuts the trace back to the events before decision k, rebuilds the
+// memory from that kept trace, and restarts each moved body on a fresh
+// coroutine, feeding it its own recorded responses (and replaying its
+// recorded crashes and restarts) up to the cut. Every request a re-fed
+// body issues is checked against the event recorded for it; a body that
+// does not reproduce its run closes the session with ErrDiverged. A
+// rewind therefore costs the moved processes' kept steps plus one pass
+// over the kept events, not the whole prefix, and extending — the common
+// case in depth-first exploration — costs only the new decisions.
+// Executed counts what positioning cost, in decisions.
 //
 // Sessions always execute on the direct engine (bodies run as
 // same-thread coroutines); Config.Sched and Config.Engine are ignored.
 // A session must be Closed when abandoned so all bodies unwind; a session
 // whose every process terminated (or crashed) finishes by itself, and
-// Close is then a no-op. A closed (or finished, or errored) session is
-// not dead: TruncateTo and Seek revive it by restarting the program.
+// Close is then a no-op. A closed (or errored) session is not dead:
+// TruncateTo and Seek revive it by restarting the program and replaying
+// the target from the root.
 type Session struct {
 	cfg       Config
 	loop      *runLoop
 	tr        transport
 	decisions []int
-	scratch   []int // replay copy, so rewinds never read what they append
+	evAt      []int // trace length before each decision
+	stepAt    []int // scheduled steps before each decision
+	executed  int   // decisions performed plus decisions re-fed by rewinds
+	rw        []refeed
 	finished  bool
 	closed    bool
 	err       error
+}
+
+// refeed is a rewind's per-process scratch.
+type refeed struct {
+	moved bool // named in a discarded decision: re-run from its start
+	next  int  // index of its first discarded event
 }
 
 // StartSession validates cfg, resets the memory and runs every process
@@ -113,7 +139,8 @@ func StartSession(cfg Config) (*Session, error) {
 		s = new(Session)
 	}
 	t := newCoroTransport(cfg.Procs, cfg.Reuse)
-	*s = Session{cfg: cfg, loop: loop, tr: t, decisions: s.decisions[:0], scratch: s.scratch[:0]}
+	*s = Session{cfg: cfg, loop: loop, tr: t,
+		decisions: s.decisions[:0], evAt: s.evAt[:0], stepAt: s.stepAt[:0], rw: s.rw}
 	loop.absorb(t)
 	s.finished = loop.npending == 0
 	return s, nil
@@ -142,6 +169,13 @@ func (s *Session) Decisions() []int { return s.decisions }
 
 // Depth returns the number of decisions performed, len(Decisions()).
 func (s *Session) Depth() int { return len(s.decisions) }
+
+// Executed returns how many decisions the session has executed since it
+// started: every decision performed — by Step, Crash and Restart, or by
+// Seek, TruncateTo and revival replaying a schedule — plus every decision
+// a rewind re-fed to a moved process. The difference across a Seek is
+// what positioning the session cost.
+func (s *Session) Executed() int { return s.executed }
 
 // Step performs the pending event of pid, exactly as if a scheduler had
 // picked it, and runs the body to its next pending event. It reports
@@ -173,8 +207,8 @@ func (s *Session) Restart(pid int) error {
 	if l.steps >= l.maxSteps {
 		return ErrMaxSteps
 	}
+	s.push(RestartEntry(pid), l.seq, l.steps)
 	l.restartCrashed(pid, s.tr)
-	s.decisions = append(s.decisions, RestartEntry(pid))
 	s.finished = l.npending == 0
 	return nil
 }
@@ -190,9 +224,10 @@ func (s *Session) apply(pid int, crash bool) error {
 	if !l.isPending(pid) {
 		return fmt.Errorf("sim: session: process %d: %w", pid, ErrNotReady)
 	}
+	seq, steps := l.seq, l.steps
 	if crash {
 		l.crashProc(pid, s.tr)
-		s.decisions = append(s.decisions, CrashEntry(pid))
+		s.push(CrashEntry(pid), seq, steps)
 	} else {
 		if l.steps >= l.maxSteps {
 			return ErrMaxSteps
@@ -205,61 +240,230 @@ func (s *Session) apply(pid int, crash bool) error {
 			s.close()
 			return err
 		}
-		s.decisions = append(s.decisions, pid)
+		s.push(StepEntry(pid), seq, steps)
 	}
 	s.finished = l.npending == 0
 	return nil
 }
 
+// push records performed decision d with the trace length and step
+// count from before it, which a rewind to it restores.
+func (s *Session) push(d, seq, steps int) {
+	s.decisions = append(s.decisions, d)
+	s.evAt = append(s.evAt, seq)
+	s.stepAt = append(s.stepAt, steps)
+	s.executed++
+}
+
 // TruncateTo rewinds the session so that exactly the first k entries of
-// the decision stack are applied; the rest of the stack is discarded.
-// Because process bodies cannot run backwards, the rewind restarts the
-// program (resetting the memory) and replays the kept prefix from the
-// root. TruncateTo(len(Decisions())) on a live session is a no-op;
-// TruncateTo(0) restarts from the initial state. A closed, finished or
-// errored session is revived. An error during the replay (which can only
-// mean the program is not deterministic, or the step budget changed)
-// leaves the session at the failing decision with the error returned.
+// the decision stack are applied; the rest of the stack is discarded. It
+// is Seek(Decisions()[:k]) after a bounds check: on a live session only
+// the processes named in the discarded entries run again (see Rewinding
+// by process), and TruncateTo(len(Decisions())) is a no-op; a closed or
+// errored session is revived by replaying the kept prefix from the root.
+// An error during the replay (which can only mean the program is not
+// deterministic, or the step budget changed) is returned.
 func (s *Session) TruncateTo(k int) error {
 	if k < 0 || k > len(s.decisions) {
 		return fmt.Errorf("sim: session: truncate to %d of %d decisions", k, len(s.decisions))
 	}
-	if k == len(s.decisions) && !s.closed && s.err == nil {
-		return nil
-	}
-	s.scratch = append(s.scratch[:0], s.decisions[:k]...)
-	if err := s.restart(); err != nil {
-		return err
-	}
-	return s.replay(s.scratch)
+	return s.Seek(s.decisions[:k])
 }
 
 // Seek positions the session at the given decision prefix: after a
-// successful Seek, Decisions() equals schedule. When the current stack is
-// a prefix of schedule the live run is extended in place — this is the
-// longest-common-prefix sharing the model checker's exploration relies
-// on, and it costs only the missing decisions. Otherwise the session
-// rewinds (restart plus replay from the root, see TruncateTo) and then
-// extends. The schedule uses the Decisions encoding (StepEntry,
-// CrashEntry, RestartEntry).
+// successful Seek, Decisions() equals schedule. The live run is first
+// rewound to the longest common prefix of its stack and schedule — a
+// no-op when the stack is a prefix of schedule, which is the sharing the
+// model checker's depth-first exploration relies on — and then extended
+// by the missing decisions. A closed or errored session has no parked
+// bodies to keep, so it restarts the program and replays schedule from
+// the root. The schedule uses the Decisions encoding (StepEntry,
+// CrashEntry, RestartEntry) and may alias Decisions().
 func (s *Session) Seek(schedule []int) error {
-	if !s.closed && s.err == nil {
-		lcp := 0
-		for lcp < len(schedule) && lcp < len(s.decisions) && s.decisions[lcp] == schedule[lcp] {
-			lcp++
+	if s.closed || s.err != nil {
+		if err := s.restart(); err != nil {
+			return err
 		}
-		if lcp == len(s.decisions) {
-			return s.replay(schedule[lcp:])
+		return s.replay(schedule)
+	}
+	lcp := 0
+	for lcp < len(schedule) && lcp < len(s.decisions) && s.decisions[lcp] == schedule[lcp] {
+		lcp++
+	}
+	if lcp < len(s.decisions) {
+		if err := s.rewind(lcp); err != nil {
+			return err
 		}
 	}
-	// Diverged past the common prefix, or the session is dead: rebuild.
-	// schedule may alias the caller's view of s.decisions, so copy it
-	// before restart truncates the stack.
-	s.scratch = append(s.scratch[:0], schedule...)
-	if err := s.restart(); err != nil {
+	return s.replay(schedule[lcp:])
+}
+
+// rewind positions a live session at its first k decisions, k below the
+// stack depth, without restarting the program (see Rewinding by
+// process). The moved bodies are re-fed in event order, each from its
+// own recorded responses; a request that differs from its recorded
+// event, or a moved body that is not where its first discarded event
+// found it, closes the session with ErrDiverged.
+func (s *Session) rewind(k int) error {
+	l := s.loop
+	events := l.buf.tr.Events
+	cut := s.evAt[k]
+	n := len(l.pending)
+	if cap(s.rw) < n {
+		s.rw = make([]refeed, n)
+	}
+	rw := s.rw[:n]
+	for p := range rw {
+		rw[p] = refeed{next: -1}
+	}
+	for _, d := range s.decisions[k:] {
+		_, p := DecodeEntry(d)
+		rw[p].moved = true
+	}
+	for i := cut; i < len(events); i++ {
+		if r := &rw[events[i].PID]; r.moved && r.next < 0 {
+			r.next = i
+		}
+	}
+
+	for p := range rw {
+		if !rw[p].moved {
+			continue
+		}
+		if l.pending[p].kind != 0 {
+			l.pending[p] = request{}
+			l.npending--
+			s.tr.kill(p)
+		}
+		if l.crashed[p] {
+			l.crashed[p] = false
+			l.ncrashed--
+		}
+		s.startBody(p)
+	}
+	var err error
+	for i := 0; i < cut && err == nil; i++ {
+		if rw[events[i].PID].moved {
+			err = s.refeedEvent(&events[i])
+		}
+	}
+	for p := 0; p < n && err == nil; p++ {
+		if rw[p].moved {
+			err = s.expect(p, &events[rw[p].next])
+		}
+	}
+
+	l.buf.tr.Events = events[:cut]
+	l.seq, l.steps = cut, s.stepAt[k]
+	s.decisions, s.evAt, s.stepAt = s.decisions[:k], s.evAt[:k], s.stepAt[:k]
+	l.readyStale = true
+	if err != nil {
+		l.stop = StopError
+		s.err = err
+		s.close()
 		return err
 	}
-	return s.replay(s.scratch)
+	l.mem.vals = l.buf.tr.ReplayValuesInto(l.mem.vals, cut)
+	s.finished = l.npending == 0
+	return nil
+}
+
+// startBody runs moved body p on a fresh coroutine up to its first
+// request, which becomes its pending event.
+func (s *Session) startBody(p int) {
+	if req, ok := s.tr.restart(p); ok {
+		s.loop.setPending(p, req)
+	}
+}
+
+// refeedEvent re-plays recorded event e on its moved process: a step's
+// request must match e and receives e's recorded response, a crash kills
+// the body and a restart starts it again. A moved body never returns
+// before the cut — a returned incarnation is never named again — so it
+// records no termination mark there, and a body that returns anyway
+// fails the check at its next event or at the cut.
+func (s *Session) refeedEvent(e *Event) error {
+	l, p := s.loop, e.PID
+	if err := s.expect(p, e); err != nil {
+		return err
+	}
+	switch e.Kind {
+	case KindCrash:
+		l.pending[p] = request{}
+		l.npending--
+		s.tr.kill(p)
+		l.crashed[p] = true
+		l.ncrashed++
+	case KindRestart:
+		l.crashed[p] = false
+		l.ncrashed--
+		s.startBody(p)
+	default:
+		if req, ok := s.tr.resume(p, response{ret: e.Ret, hasRet: e.HasRet}); ok {
+			l.pending[p] = req
+		} else {
+			l.pending[p] = request{}
+			l.npending--
+		}
+	}
+	s.executed++
+	return nil
+}
+
+// expect verifies that re-fed body p stands where recorded event e found
+// it: parked at e's request (a step), parked (a crash) or crashed (a
+// restart).
+func (s *Session) expect(p int, e *Event) error {
+	l := s.loop
+	var got string
+	switch e.Kind {
+	case KindCrash:
+		if l.pending[p].kind != 0 {
+			return nil
+		}
+		got = "has no pending event"
+	case KindRestart:
+		if l.crashed[p] {
+			return nil
+		}
+		got = "is not crashed"
+	default:
+		if requestMatches(l.pending[p], e) {
+			return nil
+		}
+		got = "issued " + requestString(p, e.Seq, l.pending[p])
+	}
+	return fmt.Errorf("sim: session: rewind: process %d: %w: recorded %v, re-fed body %s", p, ErrDiverged, *e, got)
+}
+
+// requestMatches reports whether performing req records e: same kind and
+// the same operation, cell, view and argument, phase or output.
+func requestMatches(req request, e *Event) bool {
+	switch req.kind {
+	case reqAccess:
+		return e.Kind == KindAccess && e.Op == req.op && e.Cell == req.reg.cell &&
+			e.Shift == req.reg.shift && e.Width == req.reg.width && e.Arg == req.arg
+	case reqLocal:
+		return e.Kind == KindLocal
+	case reqMark:
+		return e.Kind == KindMark && e.Phase == req.phase
+	case reqOutput:
+		return e.Kind == KindOutput && e.Out == req.out
+	default:
+		return false
+	}
+}
+
+// requestString describes p's parked request as the event performing it
+// at position seq would record, for divergence errors.
+func requestString(p, seq int, req request) string {
+	if req.kind == 0 {
+		return "nothing"
+	}
+	po := pendingOpOf(p, req)
+	e := Event{Seq: seq, PID: p, Kind: po.Kind, Op: po.Op, Cell: po.Cell, Shift: po.Shift,
+		Width: po.Width, Arg: po.Arg, Phase: po.Phase, Out: po.Out}
+	return e.String()
 }
 
 // Fork starts an independent session positioned at the same decision
@@ -293,7 +497,9 @@ func (s *Session) Fork(cfg Config) (*Session, error) {
 
 // restart rebuilds the session at the initial state: unwinds any live
 // bodies, resets the memory and re-runs every body to its first pending
-// event, clearing the decision stack.
+// event, clearing the decision stack (whose backing array a schedule
+// being replayed may alias: replay reads each entry before re-appending
+// it).
 func (s *Session) restart() error {
 	if !s.closed {
 		s.loop.unwindAll(s.tr)
@@ -308,15 +514,14 @@ func (s *Session) restart() error {
 	s.loop, s.tr = loop, t
 	s.err = nil
 	s.closed = false
-	s.decisions = s.decisions[:0]
+	s.decisions, s.evAt, s.stepAt = s.decisions[:0], s.evAt[:0], s.stepAt[:0]
 	loop.absorb(t)
 	s.finished = loop.npending == 0
 	return nil
 }
 
-// replay applies a decision sequence (Decisions encoding). The slice must
-// not alias the session's scratch buffer; aliasing the decision stack is
-// fine, since entry i is read before it is re-appended.
+// replay applies a decision sequence (Decisions encoding). Aliasing the
+// decision stack is fine, since entry i is read before it is re-appended.
 func (s *Session) replay(schedule []int) error {
 	for _, d := range schedule {
 		var err error

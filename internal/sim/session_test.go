@@ -229,7 +229,7 @@ func TestSessionSeek(t *testing.T) {
 	}
 	ref := eventsSnapshot(s)
 
-	// Divergent seek: sibling branch forces a rebuild from the root.
+	// Divergent seek: the sibling branch rewinds the moved processes.
 	if err := s.Seek([]int{0, 1, 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestPidEncRemapEdges(t *testing.T) {
 	}{
 		{PidEncExact, 0, 1},
 		{PidEncExact, 2, 0},
-		{PidEncExact, 3, 3},  // out of range: pid-neutral, unchanged
+		{PidEncExact, 3, 3}, // out of range: pid-neutral, unchanged
 		{PidEncExact, 99, 99},
 		{PidEncPlusOne, 0, 0}, // "no process" sentinel, unchanged
 		{PidEncPlusOne, 1, 2}, // pid 0 -> pid 1

@@ -103,18 +103,18 @@ import (
 // -pid-1 crashes it) plus the sleep mask it inherited. Nodes travel
 // between processes; all fields are plain wire data.
 type Node struct {
-	Schedule []int  `json:"s"`
-	Sleep    uint64 `json:"sleep,omitempty"`
+	Schedule []int
+	Sleep    uint64
 	// Full forces a full probe report even when the prober's advisory
 	// dedup cache holds the node's key — the master's re-dispatch path
 	// for a Dup report it cannot arbitrate.
-	Full bool `json:"f,omitempty"`
+	Full bool
 }
 
 // Branch is one child decision of an expanded node, in wire shape.
 type Branch struct {
-	Entry int    `json:"e"`
-	Sleep uint64 `json:"sleep,omitempty"`
+	Entry int
+	Sleep uint64
 }
 
 // ProbeReport is everything an exploration needs to know about one
@@ -128,24 +128,25 @@ type ProbeReport struct {
 	// Hash is the node's visited key: the state digest, with the
 	// normalised sleep mask mixed in under POR. Zero-valued (and
 	// meaningless) for leaf, violating and depth-truncated nodes.
-	Hash uint64 `json:"hash,omitempty"`
+	Hash uint64
 	// Leaf reports a maximal run (no live process): one completed run.
-	Leaf bool `json:"leaf,omitempty"`
+	Leaf bool
 	// DepthTruncated reports the schedule hit the depth bound.
-	DepthTruncated bool `json:"depthTrunc,omitempty"`
+	DepthTruncated bool
 	// Dup reports the prober already sent a full report for Hash this
 	// job and elided the branch set. Advisory: if the master's visited
 	// set disagrees, it re-dispatches the node with Full set.
-	Dup bool `json:"dup,omitempty"`
+	Dup bool
 	// Reduced reports the branch set is a strict subset of the enabled
 	// steps (counts toward Result.ReducedNodes if the node is expanded).
-	Reduced bool `json:"reduced,omitempty"`
+	Reduced bool
 	// Violation is the property failure (or termination failure) at this
-	// node, if any.
-	Violation *Violation `json:"-"`
+	// node, if any. It is not wire data: the fabric ships the violation
+	// flattened beside the report.
+	Violation *Violation
 	// Branches is the node's child decisions, in serial depth-first
 	// order, with their sleep masks.
-	Branches []Branch `json:"branches,omitempty"`
+	Branches []Branch
 }
 
 // ProbeStats counts a prober's replay work in schedule decisions. A

@@ -29,8 +29,8 @@ import (
 // race-initials mask to register at the path ancestor at the given
 // depth (the node BEFORE the path's depth-th decision executes).
 type DepthMask struct {
-	Depth int    `json:"d"`
-	Mask  uint64 `json:"m"`
+	Depth int
+	Mask  uint64
 }
 
 // WaveReport is the stage pass's result for one wave task, in wire
@@ -41,28 +41,28 @@ type WaveReport struct {
 	// HasViol + Viol carry the property (or termination) violation at
 	// this node; the schedule is the task's own, so only the message
 	// travels.
-	HasViol bool   `json:"hasViol,omitempty"`
-	Viol    string `json:"viol,omitempty"`
+	HasViol bool
+	Viol    string
 	// Leaf marks a node with no expansion: a maximal run or the depth
 	// budget. Run counts a completed run; Trunc a depth truncation.
-	Leaf  bool `json:"leaf,omitempty"`
-	Run   bool `json:"run,omitempty"`
-	Trunc bool `json:"trunc,omitempty"`
+	Leaf  bool
+	Run   bool
+	Trunc bool
 	// Key is the canonical visited key (symmetry applied when on).
-	Key uint64 `json:"key,omitempty"`
+	Key uint64
 	// First is the first-batch pid mask (0: straight to the join).
-	First uint64 `json:"first,omitempty"`
+	First uint64
 	// Live and Sleep are the node's enabled-pid mask and normalised
 	// sleep mask; Pend its pending steps — the expansion state the
 	// master installs if the node wins its visited arbitration.
-	Live  uint64          `json:"live,omitempty"`
-	Sleep uint64          `json:"sleep,omitempty"`
-	Pend  []sim.PendingOp `json:"pend,omitempty"`
+	Live  uint64
+	Sleep uint64
+	Pend  []sim.PendingOp
 	// Masks are the arriving step's race-initials registrations,
 	// applied unconditionally; Comp the compensation ghosts, applied
 	// only if the node is pruned as a revisit.
-	Masks []DepthMask `json:"masks,omitempty"`
-	Comp  []DepthMask `json:"comp,omitempty"`
+	Masks []DepthMask
+	Comp  []DepthMask
 }
 
 // WaveMaster is the coordinator side of a distributed DPOR exploration:

@@ -96,18 +96,59 @@
 // the offending connection; a job exceeding the coordinator's job
 // timeout is reported DEGRADED instead of wedging the run.
 //
-// # Wire format (protocol v2)
+// # Wire format (protocol v3)
 //
-// Frames are 4-byte big-endian length prefixes followed by one JSON
-// object (Msg), at most MaxFrame bytes. JSON keeps the frames
-// inspectable and the uint64 sleep masks and hashes exact (Go decodes
-// integer literals into uint64 without a float round-trip). The
-// Transport interface (Dial/Serve over an opaque address) carries the
-// byte stream: TCP for real deployments, an in-process pipe
-// (NewPipeTransport) for deterministic tests, leaving room for a
-// durable queue later.
+// A frame is a 4-byte big-endian payload length, at most MaxFrame, then
+// the payload: one tag byte naming the message type, then every Msg
+// field in one fixed order, whatever the type (V, ID, Shard, Job,
+// Nodes, Reports, WReports, Res, Ms, Replayed, Saved, Err). Nested
+// structs write their fields in declaration order the same way (Report
+// skips the embedded ProbeReport.Violation, which travels as Vio).
+// Integers are encoding/binary varints — zig-zag for signed values, so
+// a small negative schedule entry (a crash decision) stays one byte —
+// bools and 8-bit enums one byte, a pointer a presence byte before its
+// value, a string or slice a length prefix before its bytes or
+// elements. JobSpec's check.Options travels as a length-prefixed JSON
+// object: it appears in a few frames per job, and JSON carries any
+// field Options gains without a codec change. codec.go holds the
+// encoder and decoder; WriteFrame encodes straight after a reserved
+// header and hands the transport the whole frame in one Write.
 //
-// Protocol v2 adds, relative to v1:
+// Why binary: a DPOR wave holds about two tasks on average, so each wave
+// is one coordinator↔worker round trip on the critical path, and the
+// JSON codec (field names of every pending step, reflection on every
+// value) was a large share of that trip. The binary payload is a
+// fraction of the JSON size and decodes without reflection.
+//
+// Hostile input: a worker is any process that can connect, so ReadFrame
+// treats every byte as untrusted and fails the frame, never the process:
+//
+//   - a length of zero or above MaxFrame is rejected before the payload
+//     is read;
+//   - every count is checked against the bytes left divided by the
+//     smallest encoding of one element before anything is allocated for
+//     it, so a frame claiming 2^40 reports costs nothing, and decoded
+//     memory stays proportional to the frame;
+//   - an unknown tag, a malformed or overflowing varint, a bool byte
+//     other than 0 or 1, an out-of-range integer, invalid option JSON
+//     and trailing bytes after the last field are all errors;
+//   - empty slices decode to nil, so a decoded Msg re-encodes to bytes
+//     that decode to the same Msg (FuzzReadFrame checks this).
+//
+// An error drops only the offending connection. The Transport interface
+// (Dial/Serve over an opaque address) carries the byte stream: TCP for
+// real deployments, an in-process pipe (NewPipeTransport) for
+// deterministic tests, leaving room for a durable queue later.
+//
+// Protocol v3 changes, relative to v2:
+//
+//   - the payload is the binary encoding above instead of one JSON
+//     object; the messages, their fields and the length prefix are
+//     unchanged;
+//   - a version 2 hello ('{', byte 123, is no tag) fails to decode, so an
+//     old worker is dropped at its first frame.
+//
+// Protocol v2 added, relative to v1:
 //
 //   - probe/wave node batches are delta-encoded (WireNode): each node
 //     ships the length of the schedule prefix it shares with the
@@ -122,5 +163,5 @@
 //     their task-ordered reports for the BSP split.
 //
 // Hello frames carry ProtoVersion; a version mismatch is rejected at
-// handshake, so v1 workers never see v2 frames.
+// handshake, so a worker never sees frames of another version.
 package fabric

@@ -349,7 +349,8 @@ func TestMalformedFramesTolerated(t *testing.T) {
 		resCh <- results
 	}()
 
-	// Connection 1: a frame that is not JSON.
+	// Connection 1: a payload that is not a frame (its first byte, 'h',
+	// is no message tag).
 	junk := dialRaw(t, pt, "coord")
 	var frame [16]byte
 	binary.BigEndian.PutUint32(frame[:4], 12)
@@ -422,7 +423,9 @@ func TestJobTimeoutDegrades(t *testing.T) {
 }
 
 // TestProtocolVersionMismatch pins the handshake: an old or future
-// worker is dropped at hello, and the run completes on a good one.
+// worker is dropped at hello, and the run completes on a good one. A
+// protocol version 2 worker's hello is JSON, which does not decode as a
+// version 3 frame at all; its connection is dropped the same way.
 func TestProtocolVersionMismatch(t *testing.T) {
 	jobs := testJobs()[:1]
 	want := singleProcess(t, jobs)
@@ -440,9 +443,14 @@ func TestProtocolVersionMismatch(t *testing.T) {
 		resCh <- results
 	}()
 
-	old := dialRaw(t, pt, "coord")
-	if err := fabric.WriteFrame(old.rwc, &fabric.Msg{T: fabric.MsgHello, V: fabric.ProtoVersion + 1}); err != nil {
-		t.Fatalf("old hello: %v", err)
+	future := dialRaw(t, pt, "coord")
+	if err := fabric.WriteFrame(future.rwc, &fabric.Msg{T: fabric.MsgHello, V: fabric.ProtoVersion + 1}); err != nil {
+		t.Fatalf("future hello: %v", err)
+	}
+	v2 := dialRaw(t, pt, "coord")
+	hello := []byte(`{"t":"hello","v":2}`)
+	if _, err := v2.rwc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)); err != nil {
+		t.Fatalf("v2 hello: %v", err)
 	}
 
 	var wg sync.WaitGroup
@@ -455,7 +463,15 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	}()
 	results := <-resCh
 	wg.Wait()
-	old.rwc.Close()
+	// A dropped connection reads end of stream; one the coordinator kept
+	// would have been sent bye.
+	for name, c := range map[string]*rawConn{"future": future, "v2": v2} {
+		var m fabric.Msg
+		if err := fabric.ReadFrame(c.rwc, &m); err == nil {
+			t.Errorf("%s worker was sent a %q frame; its connection should have been dropped at hello", name, m.T)
+		}
+		c.rwc.Close()
+	}
 	assertEqual(t, results[0].Job.Name, want[0], results[0].Res)
 }
 

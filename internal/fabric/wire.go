@@ -2,10 +2,10 @@ package fabric
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"cfc/internal/check"
 )
@@ -14,50 +14,55 @@ import (
 // the coordinator rejects mismatched workers instead of guessing.
 // Version 2 added DPOR wave distribution (the wave/waved frames),
 // delta-encoded node batches, descent-chain probe replies and the
-// replayed/saved event counters on probe replies.
-const ProtoVersion = 2
+// replayed/saved event counters on probe replies. Version 3 replaced the
+// JSON payload with the binary codec in codec.go; the messages and their
+// fields are version 2's. A version 2 hello fails to decode as version 3,
+// which drops its connection like a mismatched version does.
+const ProtoVersion = 3
 
-// MaxFrame bounds a single frame's JSON payload. A frame announcing a
-// larger length is a protocol violation and drops the connection — the
-// guard that keeps a malformed or hostile length prefix from turning
-// into an arbitrary allocation.
+// MaxFrame bounds a single frame's payload. A frame announcing a larger
+// length is a protocol violation and drops the connection — the guard
+// that keeps a malformed or hostile length prefix from turning into an
+// arbitrary allocation; the codec bounds every count inside the payload
+// by the bytes that remain, so the decoded Msg stays proportional to
+// the payload too.
 const MaxFrame = 8 << 20
 
 // Message types (Msg.T).
 const (
-	MsgHello      = "hello"       // worker → coordinator: {v}
-	MsgJob        = "job"         // coordinator → worker: {id, job}
-	MsgResult     = "result"      // worker → coordinator: {id, res, ms}
-	MsgShardOpen  = "shard-open"  // coordinator → worker: {shard, job}
-	MsgShardClose = "shard-close" // coordinator → worker: {shard}
-	MsgProbe      = "probe"       // coordinator → worker: {id, shard, nodes}
-	MsgProbed     = "probed"      // worker → coordinator: {id, shard, reports, rp, sv}
-	MsgWave       = "wave"        // coordinator → worker: {id, shard, nodes}
-	MsgWaved      = "waved"       // worker → coordinator: {id, shard, wreports, rp, sv}
-	MsgError      = "error"       // worker → coordinator: {id, err}
+	MsgHello      = "hello"       // worker → coordinator: V
+	MsgJob        = "job"         // coordinator → worker: ID, Job
+	MsgResult     = "result"      // worker → coordinator: ID, Res, Ms
+	MsgShardOpen  = "shard-open"  // coordinator → worker: Shard, Job
+	MsgShardClose = "shard-close" // coordinator → worker: Shard
+	MsgProbe      = "probe"       // coordinator → worker: ID, Shard, Nodes
+	MsgProbed     = "probed"      // worker → coordinator: ID, Shard, Reports, Replayed, Saved
+	MsgWave       = "wave"        // coordinator → worker: ID, Shard, Nodes
+	MsgWaved      = "waved"       // worker → coordinator: ID, Shard, WReports, Replayed, Saved
+	MsgError      = "error"       // worker → coordinator: ID or Shard, Err
 	MsgBye        = "bye"         // coordinator → worker: done, disconnect
 )
 
 // Msg is the single frame envelope; T selects which fields are
 // meaningful (see the message type constants).
 type Msg struct {
-	T     string     `json:"t"`
-	V     int        `json:"v,omitempty"`
-	ID    int        `json:"id,omitempty"`
-	Shard int        `json:"shard,omitempty"`
-	Job   *JobSpec   `json:"job,omitempty"`
-	Nodes []WireNode `json:"nodes,omitempty"`
+	T     string
+	V     int
+	ID    int
+	Shard int
+	Job   *JobSpec
+	Nodes []WireNode
 	// Reports carries one descent chain per probed node of the batch,
 	// aligned with the probe frame's Nodes.
-	Reports  [][]Report         `json:"reports,omitempty"`
-	WReports []check.WaveReport `json:"wreports,omitempty"`
-	Res      *WireResult        `json:"res,omitempty"`
-	Ms       int64              `json:"ms,omitempty"`
+	Reports  [][]Report
+	WReports []check.WaveReport
+	Res      *WireResult
+	Ms       int64
 	// Replayed and Saved are the probing prober's replay-count deltas
 	// for this reply (see check.ProbeStats).
-	Replayed int64  `json:"rp,omitempty"`
-	Saved    int64  `json:"sv,omitempty"`
-	Err      string `json:"err,omitempty"`
+	Replayed int64
+	Saved    int64
+	Err      string
 }
 
 // WireNode is one frontier node (or wave task) delta-encoded against
@@ -68,10 +73,10 @@ type Msg struct {
 // tree collapse to a few tail entries each — the frame-size half of the
 // prefix-locality story (the replay half is the prober's live session).
 type WireNode struct {
-	P     int    `json:"p,omitempty"`
-	S     []int  `json:"s,omitempty"`
-	Sleep uint64 `json:"sleep,omitempty"`
-	Full  bool   `json:"f,omitempty"`
+	P     int
+	S     []int
+	Sleep uint64
+	Full  bool
 }
 
 // encodeNodes delta-encodes a batch for the wire.
@@ -121,18 +126,18 @@ func decodeNodes(w []WireNode) ([]check.Node, error) {
 // check.Explore with exactly these options; for shard-open it builds a
 // check.Prober from them.
 type JobSpec struct {
-	Name string        `json:"name"`
-	N    int           `json:"n"`
-	Opts check.Options `json:"opts"`
+	Name string
+	N    int
+	Opts check.Options
 }
 
-// WireViolation is a check.Violation flattened for the wire (error
-// values do not marshal). The string form is only provisional: every
-// violation that crosses the wire is re-verified or canonically
+// WireViolation is a check.Violation flattened for the wire (an error
+// value travels as its message). The string form is only provisional:
+// every violation that crosses the wire is re-verified or canonically
 // re-derived by serial replay at the coordinator before it is reported.
 type WireViolation struct {
-	Schedule []int  `json:"sched"`
-	Err      string `json:"err"`
+	Schedule []int
+	Err      string
 }
 
 func toWireViolation(v *check.Violation) *WireViolation {
@@ -151,13 +156,13 @@ func (v *WireViolation) toCheck() *check.Violation {
 
 // WireResult is a check.Result in wire shape.
 type WireResult struct {
-	States          int            `json:"states"`
-	Runs            int            `json:"runs"`
-	Truncated       bool           `json:"trunc,omitempty"`
-	ReducedNodes    int            `json:"reduced,omitempty"`
-	PORDisabled     bool           `json:"porDisabled,omitempty"`
-	SymmetryApplied bool           `json:"sym,omitempty"`
-	Vio             *WireViolation `json:"vio,omitempty"`
+	States          int
+	Runs            int
+	Truncated       bool
+	ReducedNodes    int
+	PORDisabled     bool
+	SymmetryApplied bool
+	Vio             *WireViolation
 }
 
 func toWireResult(r check.Result) *WireResult {
@@ -176,12 +181,12 @@ func (r *WireResult) toCheck() check.Result {
 	}
 }
 
-// Report is a check.ProbeReport in wire shape: the embedded report's
-// fields marshal directly (its Violation field is wire-excluded) and the
-// violation travels flattened alongside.
+// Report is a check.ProbeReport in wire shape: the codec writes the
+// embedded report's fields except Violation, which travels flattened
+// alongside as Vio.
 type Report struct {
 	check.ProbeReport
-	Vio *WireViolation `json:"vio,omitempty"`
+	Vio *WireViolation
 }
 
 func toWireReport(rep check.ProbeReport) Report {
@@ -196,29 +201,37 @@ func (r Report) toCheck() check.ProbeReport {
 	return rep
 }
 
-// WriteFrame marshals m and writes one length-prefixed frame. The
-// header and payload go out in a single Write so transports see whole
-// frames (the pipe transport's rendezvous writes stay one hand-off per
-// frame).
+// framePool recycles WriteFrame's buffers. An io.Writer must not
+// retain the slice it is given, so a buffer is free again once Write
+// returns.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteFrame encodes m and writes one length-prefixed frame. The payload
+// is encoded straight after a reserved header, and header and payload
+// go out in a single Write so transports see whole frames (the pipe
+// transport's rendezvous writes stay one hand-off per frame).
 func WriteFrame(w io.Writer, m *Msg) error {
-	data, err := json.Marshal(m)
+	buf := framePool.Get().(*[]byte)
+	defer framePool.Put(buf)
+	e := encoder{b: append((*buf)[:0], 0, 0, 0, 0)}
+	err := e.msg(m)
+	*buf = e.b
 	if err != nil {
-		return fmt.Errorf("fabric: marshal frame: %w", err)
+		return err
 	}
-	if len(data) > MaxFrame {
-		return fmt.Errorf("fabric: frame of %d bytes exceeds MaxFrame", len(data))
+	n := len(e.b) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("fabric: frame of %d bytes exceeds MaxFrame", n)
 	}
-	buf := make([]byte, 4+len(data))
-	binary.BigEndian.PutUint32(buf, uint32(len(data)))
-	copy(buf[4:], data)
-	if _, err := w.Write(buf); err != nil {
+	binary.BigEndian.PutUint32(e.b, uint32(n))
+	if _, err := w.Write(e.b); err != nil {
 		return fmt.Errorf("fabric: write frame: %w", err)
 	}
 	return nil
 }
 
 // ReadFrame reads one length-prefixed frame into m. A length outside
-// (0, MaxFrame] or a payload that is not valid JSON is a protocol error;
+// (0, MaxFrame] or a payload the codec rejects is a protocol error;
 // callers treat it as fatal for the connection, never for the process.
 func ReadFrame(r io.Reader, m *Msg) error {
 	var hdr [4]byte
@@ -234,8 +247,6 @@ func ReadFrame(r io.Reader, m *Msg) error {
 		return fmt.Errorf("fabric: truncated frame: %w", err)
 	}
 	*m = Msg{}
-	if err := json.Unmarshal(buf, m); err != nil {
-		return fmt.Errorf("fabric: malformed frame: %w", err)
-	}
-	return nil
+	d := decoder{b: buf}
+	return d.msg(m)
 }

@@ -1,11 +1,247 @@
 package fabric_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"runtime/metrics"
 	"testing"
 
 	"cfc/internal/check"
 	"cfc/internal/fabric"
 )
+
+// msgTypes is every message type, in the codec's tag order.
+var msgTypes = []string{
+	fabric.MsgHello, fabric.MsgJob, fabric.MsgResult, fabric.MsgShardOpen, fabric.MsgShardClose,
+	fabric.MsgProbe, fabric.MsgProbed, fabric.MsgWave, fabric.MsgWaved, fabric.MsgError, fabric.MsgBye,
+}
+
+// notWire lists the fields reachable from Msg that deliberately do not
+// travel, as type.field.
+var notWire = map[string]bool{
+	// A report's violation travels flattened as Report.Vio.
+	"ProbeReport.Violation": true,
+}
+
+// filledMsg returns a Msg of type typ with every wire field reachable
+// from it set to a distinct non-zero value: two elements in every slice,
+// a value behind every pointer. A field a wire type gains is filled too,
+// so a codec that does not carry it fails the round trip.
+func filledMsg(tb testing.TB, typ string) *fabric.Msg {
+	tb.Helper()
+	m := &fabric.Msg{}
+	var n uint64
+	fill(tb, reflect.ValueOf(m).Elem(), "Msg", &n)
+	m.T = typ
+	return m
+}
+
+func fill(tb testing.TB, v reflect.Value, path string, n *uint64) {
+	tb.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !notWire[v.Type().Name()+"."+f.Name] {
+				fill(tb, v.Field(i), path+"."+f.Name, n)
+			}
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(tb, v.Elem(), path, n)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < 2; i++ {
+			fill(tb, v.Index(i), fmt.Sprintf("%s[%d]", path, i), n)
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		*n++
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		// Alternate signs, and reach past 32 bits where the type allows,
+		// to exercise the zig-zag varints.
+		*n++
+		x := int64(*n)
+		if *n%2 == 1 {
+			x = -x
+		}
+		if v.Type().Bits() == 64 {
+			x <<= 40
+		}
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		*n++
+		x := *n
+		if v.Type().Bits() == 64 {
+			x |= 1 << 63
+		}
+		v.SetUint(x)
+	default:
+		tb.Fatalf("%s: the round-trip test cannot fill a %s; extend it and the codec", path, v.Kind())
+	}
+	if *n > 255 {
+		tb.Fatalf("%s: more than 255 distinct values; 8-bit fields would repeat", path)
+	}
+}
+
+// frame is m as WriteFrame puts it on the wire.
+func frame(tb testing.TB, m *fabric.Msg) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := fabric.WriteFrame(&buf, m); err != nil {
+		tb.Fatalf("WriteFrame(%s): %v", m.T, err)
+	}
+	return buf.Bytes()
+}
+
+// rawFrame puts a length prefix in front of payload.
+func rawFrame(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// TestFrameRoundTrip requires ReadFrame(WriteFrame(m)) to equal m for a
+// Msg with every wire field set, under every message type, and for a
+// Msg whose slices hold zero-valued elements.
+func TestFrameRoundTrip(t *testing.T) {
+	var msgs []*fabric.Msg
+	for _, typ := range msgTypes {
+		msgs = append(msgs, filledMsg(t, typ))
+	}
+	msgs = append(msgs, &fabric.Msg{T: fabric.MsgHello, V: fabric.ProtoVersion}, &fabric.Msg{
+		T:        fabric.MsgProbed,
+		Job:      &fabric.JobSpec{},
+		Nodes:    []fabric.WireNode{{}},
+		Reports:  [][]fabric.Report{nil, {{}}},
+		WReports: []check.WaveReport{{}},
+		Res:      &fabric.WireResult{Vio: &fabric.WireViolation{}},
+	})
+	for _, m := range msgs {
+		var back fabric.Msg
+		if err := fabric.ReadFrame(bytes.NewReader(frame(t, m)), &back); err != nil {
+			t.Fatalf("%s: ReadFrame: %v", m.T, err)
+		}
+		if !reflect.DeepEqual(*m, back) {
+			t.Errorf("%s: round trip changed the message:\nsent %+v\ngot  %+v", m.T, *m, back)
+		}
+	}
+}
+
+// TestFrameRejectsMalformed pins the hostile-input rules on a valid
+// wave frame changed in one place, and the encoder's refusal of a
+// message type without a tag. The payload is 17 bytes: tag, V, ID,
+// Shard, Job presence, Nodes count 1, the node's P, S count, Sleep and
+// Full, then Reports, WReports, Res presence, Ms, Replayed, Saved, Err.
+func TestFrameRejectsMalformed(t *testing.T) {
+	wave := frame(t, &fabric.Msg{T: fabric.MsgWave, Nodes: []fabric.WireNode{{}}})[4:]
+	with := func(i int, b byte) []byte {
+		p := append([]byte(nil), wave...)
+		p[i] = b
+		return rawFrame(p)
+	}
+	for name, fr := range map[string][]byte{
+		"trailing byte":      rawFrame(append(append([]byte(nil), wave...), 0)),
+		"truncated payload":  rawFrame(wave[:len(wave)-1]),
+		"unknown tag":        with(0, byte(len(msgTypes))),
+		"bool byte 2":        with(9, 2),
+		"overflowing varint": rawFrame(append([]byte{wave[0]}, bytes.Repeat([]byte{0x80}, 10)...)),
+	} {
+		var m fabric.Msg
+		if err := fabric.ReadFrame(bytes.NewReader(fr), &m); err == nil {
+			t.Errorf("%s: decoded to %+v", name, m)
+		}
+	}
+	var buf bytes.Buffer
+	if err := fabric.WriteFrame(&buf, &fabric.Msg{T: "gossip"}); err == nil || buf.Len() != 0 {
+		t.Errorf("unknown type encoded: err %v, %d bytes written", err, buf.Len())
+	}
+}
+
+// allocBytes is the heap the call allocates. It reads runtime/metrics,
+// which does not stop the world as runtime.ReadMemStats does.
+func allocBytes(f func()) uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	before := s[0].Value.Uint64()
+	f()
+	metrics.Read(s)
+	return s[0].Value.Uint64() - before
+}
+
+// TestReadFrameBoundsCounts splices a varint claiming 2^20 or 2^40
+// elements over every byte of a fully populated frame, so each length
+// prefix in turn claims far more elements than the frame can hold. The
+// decoder must reject every such claim before allocating for it.
+func TestReadFrameBoundsCounts(t *testing.T) {
+	payload := frame(t, filledMsg(t, fabric.MsgWaved))[4:]
+	for _, claim := range []uint64{1 << 20, 1 << 40} {
+		for i := range payload {
+			p := binary.AppendUvarint(append([]byte(nil), payload[:i]...), claim)
+			fr := rawFrame(append(p, payload[i+1:]...))
+			var m fabric.Msg
+			if n := allocBytes(func() { _ = fabric.ReadFrame(bytes.NewReader(fr), &m) }); n > 1<<20 {
+				t.Fatalf("claim %d at payload byte %d: decoding allocated %d bytes", claim, i, n)
+			}
+		}
+	}
+}
+
+// FuzzReadFrame feeds ReadFrame arbitrary bytes. It must never panic,
+// its allocations must stay proportional to the input (a count the
+// frame cannot hold is rejected before anything is allocated for it),
+// and any frame it accepts must re-encode to bytes that decode to the
+// same Msg.
+func FuzzReadFrame(f *testing.F) {
+	for _, typ := range msgTypes {
+		f.Add(frame(f, filledMsg(f, typ)))
+	}
+	f.Add(frame(f, &fabric.Msg{T: fabric.MsgHello, V: fabric.ProtoVersion}))
+	// A protocol version 2 worker's hello: a JSON payload.
+	f.Add(rawFrame([]byte(`{"t":"hello","v":2}`)))
+	// Truncated frames: a short header, a short payload, and a header
+	// that ends the payload early.
+	waved := frame(f, filledMsg(f, fabric.MsgWaved))
+	f.Add(waved[:3])
+	f.Add(waved[:len(waved)/2])
+	f.Add(rawFrame(waved[4 : len(waved)/2]))
+	// A waved frame claiming 2^40 wave reports: tag 8, V, ID and Shard
+	// zero, no job, no nodes, no probe reports, then the count.
+	huge := binary.AppendUvarint([]byte{8, 0, 0, 0, 0, 0, 0}, 1<<40)
+	f.Add(rawFrame(append(huge, make([]byte, 64)...)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// ReadFrame allocates the payload buffer the header declares
+		// (MaxFrame bounds it; large allocations round up to whole
+		// pages). Decoding then allocates at most 24 bytes (an empty
+		// probe chain's slice header) per payload byte; 64 leaves room
+		// for size classes, and 1 MiB for the fuzzing engine's own
+		// allocations during the call.
+		limit := uint64(1 << 20)
+		if len(data) >= 4 {
+			if n := binary.BigEndian.Uint32(data); n <= fabric.MaxFrame {
+				limit += 2*uint64(n) + 64*uint64(len(data))
+			}
+		}
+		var m fabric.Msg
+		var err error
+		if n := allocBytes(func() { err = fabric.ReadFrame(bytes.NewReader(data), &m) }); n > limit {
+			t.Fatalf("reading a %d-byte input allocated %d bytes", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		var back fabric.Msg
+		if err := fabric.ReadFrame(bytes.NewReader(frame(t, &m)), &back); err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("re-encoding changed the message:\nfirst  %+v\nsecond %+v", m, back)
+		}
+	})
+}
 
 // TestNodeDeltaRoundTrip pins the batch delta encoding: decode(encode(x))
 // is the identity on a DFS-sorted batch, and the encoding actually

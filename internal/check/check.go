@@ -256,7 +256,7 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 		maxStates: maxStates,
 		visited:   make(map[uint64]struct{}),
 	}
-	if err := e.core.init(build, maxDepth); err != nil {
+	if err := e.core.init(build, maxDepth, opts.CollapseSpins); err != nil {
 		return Result{}, err
 	}
 	e.provider, e.por = newProvider(opts, len(e.core.procs))
@@ -300,8 +300,6 @@ type explorer struct {
 	peeked    int // sibling replays skipped by the batch peek
 	truncated bool
 	violation *Violation
-
-	peekHist []histEntry // scratch for peekKey's branch-pid history
 }
 
 func (e *explorer) dfs(schedule []int, sleep uint64) error {
@@ -336,7 +334,7 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 		return nil
 	}
 
-	h := e.core.stateHash(tr, e.opts.CollapseSpins)
+	h := e.core.stateHash()
 	if e.por {
 		// A node is (state, sleep set): the same state arrived at with a
 		// different sleep set explores different branches, so the visited
@@ -354,7 +352,7 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 		// inflation PR 6 papered over with PORAuto: processes finishing
 		// at different points and single-cell conflicts used to strew
 		// distinct sleep masks over otherwise-equal states.
-		sleep = normalizeSleep(&e.core, e.opts.CollapseSpins, e.core.pendingOps(), sleep&pidMask(live))
+		sleep = normalizeSleep(&e.core, e.core.pendingOps(), sleep&pidMask(live))
 		h = mix64(h, sleep)
 	}
 	if _, seen := e.visited[h]; seen {
@@ -376,11 +374,11 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	}
 
 	// Batch-peek the siblings before descending into any of them: every
-	// child's visited key is a pure function of this node's hashing
-	// scratch (cell values plus per-pid histories, both still valid here)
-	// and the branch's pending step, so the keys of all siblings can be
-	// computed in one pass over the shared parent state. A child whose
-	// key is already visited is skipped without a session Seek — which
+	// child's visited key is a pure function of this node's folded state
+	// (cell values plus per-pid histories, both still valid here) and the
+	// branch's pending step, so the keys of all siblings can be computed
+	// in one pass over the shared parent state. A child whose key is
+	// already visited is skipped without a session Seek — which
 	// for every sibling after the first would rewind the session and
 	// re-run the processes the first sibling's subtree moved. Terminal,
 	// violating and depth-truncated children never enter the visited set
@@ -425,10 +423,13 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 // peekKey computes the visited key the child reached via branch b would
 // derive for itself — stateHash over the child's cell values and
 // histories — without replaying the child. It reads the parent node's
-// hashing scratch (c.vals, c.hist — filled by stateHash above, collapsed
-// per the options) and the parent's pending steps; the auto termination
-// mark a completing step would add is excluded from stateHash for
-// exactly this purpose. ok is false when the branch cannot be peeked
+// fold (c.vals, c.hist, c.chain — valid since the parent's stateAt) and
+// the parent's pending steps: the child differs from the parent in at
+// most one cell and in the branch process's history, whose canonical
+// length and chain digest follow from one appendLen (a collapsed append
+// is a prefix, whose digest is already in the chain). The auto
+// termination mark a completing step would add is kept out of histories
+// for exactly this purpose. ok is false when the branch cannot be peeked
 // (scratch misalignment or an unknown entry kind); the caller then
 // replays it normally.
 func (e *explorer) peekKey(b branch, live []int, pend []sim.PendingOp) (key uint64, ok bool) {
@@ -468,49 +469,14 @@ func (e *explorer) peekKey(b branch, live []int, pend []sim.PendingOp) (key uint
 		return 0, false
 	}
 
-	// The branch process's post-step history, collapse-canonical: by the
-	// online property collapse(H+e) == collapse(collapse(H)+e), appending
-	// to the parent's already-collapsed history and reducing any new
-	// trailing period reproduces what the child's own stateHash computes.
-	hh := append(e.peekHist[:0], c.hist[pid]...)
-	hh = append(hh, en)
-	if e.opts.CollapseSpins {
-		for {
-			reduced := false
-			for p := 1; p <= maxSpinPeriod && 2*p <= len(hh); p++ {
-				if tailRepeats(hh, p) {
-					hh = hh[:len(hh)-p]
-					reduced = true
-					break
-				}
-			}
-			if !reduced {
-				break
-			}
-		}
+	n := c.appendLen(pid, en)
+	var d uint64
+	if n > len(c.hist[pid]) {
+		d = chainEntry(c.histDigest(pid), en.shape(), en.ret, en.aux)
+	} else {
+		d = c.chain[pid][n-1]
 	}
-	e.peekHist = hh
-
-	h := uint64(hashSeed)
-	for i, v := range c.vals {
-		if int32(i) == cell {
-			v = newVal
-		}
-		h = mix64(h, v)
-	}
-	for q := range c.hist {
-		s := c.hist[q]
-		if q == pid {
-			s = hh
-		}
-		h = mix64(h, uint64(len(s))<<32|0xabcd)
-		for _, en := range s {
-			h = mix64(h, uint64(en.kind)|uint64(en.op)<<8|uint64(en.shift)<<16|uint64(en.width)<<24|uint64(uint32(en.cell))<<32)
-			h = mix64(h, en.ret)
-			h = mix64(h, en.aux)
-		}
-	}
-	return h, true
+	return c.successorHash(cell, newVal, pid, n, d), true
 }
 
 // unterminated scans a maximal run for a process that started but neither

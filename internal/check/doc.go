@@ -9,11 +9,45 @@
 // their shared-memory operations return, so a global state is fully
 // described by the shared cell values plus each process's observation
 // history; the explorer replays schedules (the simulator is cheap) and
-// hashes that description to prune: two schedule prefixes with equal
+// digests that description to prune: two schedule prefixes with equal
 // digests lead to identical futures, so only the first arrival's subtree
 // is expanded. Options.CollapseSpins additionally canonicalises busy-wait
-// tails, which makes the state space of deadlock-free spin algorithms
+// loops, which makes the state space of deadlock-free spin algorithms
 // finite.
+//
+// The description is folded incrementally (replay.go). Whenever the
+// session moves, stateAt folds each new trace event once into its
+// process's history — under collapse an event either appends one entry
+// or completes another iteration of a busy-wait period, which cuts the
+// history back to a prefix — and every entry carries the chain digest of
+// the history up to it, so a history's digest is its last entry's. The
+// same pass keeps the written-bit masks symmetry reduction needs and the
+// done/crashed statuses that decide which processes are live. Each
+// folded event pushes one undo record: a Seek that rewinds the session
+// to decision k keeps the trace's events before k
+// (sim.Session.EventsBefore), so the fold pops back to them and folds
+// only what the Seek replays. A state's digest then mixes the live
+// memory's cell values with each process's (history length, chain
+// digest) — O(cells + processes) per node instead of a pass over the
+// whole trace.
+//
+// One digest definition serves every reader: chainEntry extends a
+// history's digest and mixHist combines the per-process pairs after the
+// cell values. The serial explorer's sibling peek keys a child without
+// replaying it by substituting the one cell and the one history the
+// branch changes (a collapsed append is a prefix, whose digest is
+// already in the chain); symmetry reduction chains each remapped history
+// through the same chainEntry, so its identity permutation reproduces
+// the plain key exactly.
+//
+// Visited sets store only these 64-bit digests, so every "proved" rests
+// on one assumption: no two distinct states of a job share a digest. By
+// the birthday bound a job of s states collides with probability about
+// s²/2^65 — 2^-27 at cfccheck's default budget of 2^19 states. The
+// golden test (testdata/golden_check.txt) pins the states, runs,
+// verdicts and witnesses of the n = 2 portfolio, the n = 2 and 3 crash
+// variants and the racy-mutex canaries, in reference and DPOR+sym mode,
+// so a collision or a fold bug there shows as a changed line.
 //
 // # Replay engine
 //

@@ -224,7 +224,6 @@ type dconfig struct {
 	prop     Property
 	opts     Options
 	maxDepth int
-	collapse bool
 	nprocs   int
 	sym      *symCanon
 }
@@ -258,7 +257,6 @@ func newDExplorer(prop Property, opts Options, maxDepth, maxStates, nprocs int, 
 			prop:     prop,
 			opts:     opts,
 			maxDepth: maxDepth,
-			collapse: opts.CollapseSpins,
 			nprocs:   nprocs,
 			sym:      sym,
 		},
@@ -283,7 +281,7 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 	cores := make([]*replayCore, workers)
 	for i := range cores {
 		cores[i] = new(replayCore)
-		if err := cores[i].init(build, maxDepth); err != nil {
+		if err := cores[i].init(build, maxDepth, opts.CollapseSpins); err != nil {
 			return Result{}, err
 		}
 	}
@@ -418,13 +416,13 @@ func (cfg *dconfig) stage(core *replayCore, sc *dscratch, sched []int, nodeSleep
 		return nil, fmt.Errorf("check: internal error: %d pending ops for %d live processes", len(pend), len(live))
 	}
 
-	base := core.stateHash(tr, cfg.collapse)
+	base := core.stateHash()
 	lm := pidMask(live)
 	// The node's effective sleep set: live pids only, conflicting
 	// sleepers woken (see normalizeSleep in por.go). Both the visited
 	// key and the expansion use it, so expansion stays a pure function
 	// of the key.
-	sleep := normalizeSleep(core, cfg.collapse, pend, nodeSleep&lm)
+	sleep := normalizeSleep(core, pend, nodeSleep&lm)
 	rep.Key = core.canonicalKey(cfg.sym, base, sleep)
 	rep.Pend = append([]sim.PendingOp(nil), pend...)
 	rep.Live = lm
@@ -441,7 +439,7 @@ func (cfg *dconfig) stage(core *replayCore, sc *dscratch, sched []int, nodeSleep
 			if awake&(1<<uint(po.PID)) == 0 {
 				continue
 			}
-			if cfg.collapse && !core.progresses(po.PID, core.pendingEntry(po)) {
+			if !core.progresses(po.PID, core.pendingEntry(po)) {
 				continue
 			}
 			init = po.PID
@@ -883,8 +881,8 @@ func registerMask(n *dnode, initials uint64) {
 // comment): the hit state's pending steps, plus one hypothetical step
 // per recorded access of each live process, are race-checked against
 // the current path, the resulting masks buffered into sink (the commit
-// pass applies them only if the node really is pruned). Must run right
-// after stateHash (c.hist, c.vals valid) with the session at the node.
+// pass applies them only if the node really is pruned). Must run after
+// the node's stateAt (c.hist, c.vals valid) with the session at the node.
 func (cfg *dconfig) compensate(core *replayCore, sc *dscratch, m int, live []int, sink *[]DepthMask) {
 	if m == 0 {
 		return

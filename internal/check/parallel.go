@@ -301,7 +301,7 @@ func exploreParallel(build Builder, prop Property, opts Options, maxDepth, maxSt
 	cores := make([]*replayCore, workers)
 	for i := range cores {
 		cores[i] = new(replayCore)
-		if err := cores[i].init(build, maxDepth); err != nil {
+		if err := cores[i].init(build, maxDepth, opts.CollapseSpins); err != nil {
 			return Result{}, err
 		}
 	}
@@ -398,13 +398,13 @@ func (e *parexplorer) chase(id int, core *replayCore, t porTask) {
 			e.truncated.Store(true)
 			return
 		}
-		h := core.stateHash(tr, e.opts.CollapseSpins)
+		h := core.stateHash()
 		if e.por {
 			// Nodes are (state, sleep set), as in the serial DFS. The mask
 			// is normalised first — live pids only, conflicting sleepers
 			// woken — see the serial explorer for why that is sound and
 			// what it recovers.
-			sleep = normalizeSleep(core, e.opts.CollapseSpins, core.pendingOps(), sleep&pidMask(live))
+			sleep = normalizeSleep(core, core.pendingOps(), sleep&pidMask(live))
 			h = mix64(h, sleep)
 		}
 		added, full := e.visited.insert(h, e.maxStates)

@@ -46,7 +46,7 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 		maxStates: 1 << 20,
 		visited:   make(map[uint64]struct{}),
 	}
-	if err := e.core.init(peekBuilder(3), e.maxDepth); err != nil {
+	if err := e.core.init(peekBuilder(3), e.maxDepth, opts.CollapseSpins); err != nil {
 		t.Fatal(err)
 	}
 	e.provider, e.por = newProvider(opts, 3)

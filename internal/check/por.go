@@ -101,9 +101,9 @@ type branch struct {
 // provider is shared by all workers of a parallel exploration.
 //
 // branches must be called with the core's session positioned at the node
-// and — for porProvider — immediately after stateHash has digested the
-// node's trace, whose hist/vals scratch the proviso check reads. reduced
-// reports that the step branches are a strict subset of the live set.
+// by stateAt, whose folded histories and cell values the porProvider's
+// proviso check reads. reduced reports that the step branches are a
+// strict subset of the live set.
 type enabledProvider interface {
 	branches(c *replayCore, live []int, schedule []int, sleep uint64) (br []branch, reduced bool)
 }
@@ -139,8 +139,7 @@ func (f fullProvider) branches(c *replayCore, live, schedule []int, _ uint64) ([
 // file comment. It requires len(procs) <= 64 (sleep sets are pid
 // bitmasks); Explore falls back to fullProvider beyond that.
 type porProvider struct {
-	crashes  bool
-	collapse bool
+	crashes bool
 }
 
 func (p porProvider) branches(c *replayCore, live, schedule []int, sleep uint64) ([]branch, bool) {
@@ -195,7 +194,7 @@ func (p porProvider) branches(c *replayCore, live, schedule []int, sleep uint64)
 		if po.Kind == sim.KindAccess && po.Op.Mutates() && c.ownReadOf(po.PID, po.Acc()) {
 			continue // completing a read-check-write handshake on the cell
 		}
-		if p.collapse && !c.progresses(po.PID, c.pendingEntry(po)) {
+		if !c.progresses(po.PID, c.pendingEntry(po)) {
 			continue // cycle proviso: a collapsing step must not postpone others
 		}
 		amp = i
@@ -291,9 +290,9 @@ func filterSleep(pend []sim.PendingOp, mask uint64, po sim.PendingOp) uint64 {
 // state and the incoming sleep set, so keying and expanding on it
 // preserves the serial/parallel bit-identical guarantee.
 //
-// Must be called with the session at the node, after stateHash for this
-// node (the progresses check reads its hist/vals scratch).
-func normalizeSleep(c *replayCore, collapse bool, pend []sim.PendingOp, sleep uint64) uint64 {
+// Must be called with the session at the node, after stateAt for this
+// node (the progresses check reads its folded histories and values).
+func normalizeSleep(c *replayCore, pend []sim.PendingOp, sleep uint64) uint64 {
 	out := sleep
 	for i := range pend {
 		bit := uint64(1) << uint(pend[i].PID)
@@ -304,7 +303,7 @@ func normalizeSleep(c *replayCore, collapse bool, pend []sim.PendingOp, sleep ui
 			out &^= bit
 			continue
 		}
-		if collapse && !c.progresses(pend[i].PID, c.pendingEntry(pend[i])) {
+		if !c.progresses(pend[i].PID, c.pendingEntry(pend[i])) {
 			out &^= bit
 			continue
 		}
@@ -352,7 +351,7 @@ func pendingIndependent(a, b sim.PendingOp) bool {
 // configurations; this is a guard, not a practical limit).
 func newProvider(opts Options, n int) (enabledProvider, bool) {
 	if opts.POR && n <= 64 {
-		return porProvider{crashes: opts.ExploreCrashes, collapse: opts.CollapseSpins}, true
+		return porProvider{crashes: opts.ExploreCrashes}, true
 	}
 	return fullProvider{crashes: opts.ExploreCrashes}, false
 }

@@ -204,7 +204,7 @@ func NewProber(build Builder, prop Property, opts Options) (*Prober, error) {
 		maxDepth = 200
 	}
 	p := &Prober{prop: prop, opts: opts, maxDepth: maxDepth, seen: make(map[uint64]struct{})}
-	if err := p.core.init(build, maxDepth); err != nil {
+	if err := p.core.init(build, maxDepth, opts.CollapseSpins); err != nil {
 		return nil, err
 	}
 	p.provider, p.por = newProvider(opts, len(p.core.procs))
@@ -283,13 +283,13 @@ func (p *Prober) probeOne(nd Node) (rep ProbeReport, err error) {
 		rep.DepthTruncated = true
 		return rep, nil
 	}
-	h := p.core.stateHash(tr, p.opts.CollapseSpins)
+	h := p.core.stateHash()
 	sleep := nd.Sleep
 	if p.por {
 		// Same key normalisation as both in-process explorers: restrict
 		// the mask to live pids, wake conflicting sleepers, mix into the
 		// digest (see explorer.dfs for the full why).
-		sleep = normalizeSleep(&p.core, p.opts.CollapseSpins, p.core.pendingOps(), sleep&pidMask(live))
+		sleep = normalizeSleep(&p.core, p.core.pendingOps(), sleep&pidMask(live))
 		h = mix64(h, sleep)
 	}
 	rep.Hash = h

@@ -21,14 +21,18 @@ import (
 // as-is: symmetry only prunes the visited set, it never alters the
 // schedules actually executed, so every reported witness replays.
 //
-// The permuted digest is computed directly from the hashing scratch the
-// preceding stateHash call filled (c.vals, c.hist): cell values are
-// remapped through SymSpec.RemapCells, per-pid histories are read in
-// permuted slot order with each recorded access relocated/rewritten
-// through its ViewDesc, and the (live-normalised) sleep mask is
-// permuted alongside. By construction the identity permutation's digest
-// equals mix64(stateHash, sleep) — the key the unsymmetrised explorer
-// would use — which the symmetry unit tests pin.
+// The permuted digest is computed directly from the state the preceding
+// stateAt call folded (c.vals, c.hist): cell values are remapped through
+// SymSpec.RemapCells, per-pid histories are read in permuted slot order
+// with each recorded access relocated/rewritten through its ViewDesc and
+// chained through the same chainEntry the fold uses, the slots combine
+// through the same mixHist as stateHash, and the (live-normalised) sleep
+// mask is permuted alongside. By construction the identity permutation's
+// digest equals mix64(stateHash, sleep) — the key the unsymmetrised
+// explorer would use — which the symmetry unit tests pin. Unlike the
+// identity, a permuted history's chain cannot be read off the fold: the
+// remap rewrites its entries, so each permutation walks every history
+// once.
 //
 // An access through a view the spec cannot remap (ViewDesc.Opaque, e.g.
 // a partial read of a pid-valued field) makes the whole state fall back
@@ -123,10 +127,10 @@ func (c *replayCore) symDesc(spec *sim.SymSpec, cell int32, shift, width uint8) 
 }
 
 // symDigest computes the state digest under one pid permutation, from
-// the hashing scratch of the preceding stateHash call, mixing the
-// permuted sleep mask in last. ok is false when some recorded access
-// goes through a view the spec cannot remap, or observed a value that
-// cannot be proven post-write (see RemapValueChecked).
+// the state the preceding stateAt call folded, mixing the permuted sleep
+// mask in last. ok is false when some recorded access goes through a
+// view the spec cannot remap, or observed a value that cannot be proven
+// post-write (see RemapValueChecked).
 func (c *replayCore) symDigest(sy *symCanon, k int, sleep uint64) (uint64, bool) {
 	perm, inv := sy.perms[k], sy.invs[k]
 	h := uint64(hashSeed)
@@ -139,18 +143,17 @@ func (c *replayCore) symDigest(sy *symCanon, k int, sleep uint64) (uint64, bool)
 	}
 	for q := range c.hist {
 		hh := c.hist[inv[q]] // slot q of the permuted run is old pid inv[q]
-		h = mix64(h, uint64(len(hh))<<32|0xabcd)
 		c.symOwnW = c.symOwnW[:len(c.vals)]
 		clear(c.symOwnW)
+		var d uint64
 		for _, en := range hh {
 			ren, ok := c.remapHistEntry(sy.spec, perm, en)
 			if !ok {
 				return 0, false
 			}
-			h = mix64(h, uint64(ren.kind)|uint64(ren.op)<<8|uint64(ren.shift)<<16|uint64(ren.width)<<24|uint64(uint32(ren.cell))<<32)
-			h = mix64(h, ren.ret)
-			h = mix64(h, ren.aux)
+			d = chainEntry(d, ren.shape(), ren.ret, ren.aux)
 		}
+		h = mixHist(h, len(hh), d)
 	}
 	return mix64(h, remapPidMask(sleep, perm)), true
 }
@@ -199,7 +202,7 @@ func (c *replayCore) remapHistEntry(spec *sim.SymSpec, perm []int, en histEntry)
 // unmappable view), the identity digest mix64(base, sleep) — exactly
 // the key the static-POR explorers use.
 func (c *replayCore) canonicalKey(sy *symCanon, base, sleep uint64) uint64 {
-	best := mix64(base, sleep) // == symDigest(identity): stateHash mixes vals then hists in the same order
+	best := mix64(base, sleep) // == symDigest(identity): same chainEntry, same mixHist, same order
 	if sy == nil {
 		return best
 	}

@@ -130,11 +130,10 @@ func permSchedule(sched []int, perm []int) []int {
 // state hash) for the resulting state.
 func keyAt(t *testing.T, c *replayCore, sy *symCanon, sched []int, sleep uint64) (uint64, uint64, uint64) {
 	t.Helper()
-	tr, _, err := c.stateAt(sched)
-	if err != nil {
+	if _, _, err := c.stateAt(sched); err != nil {
 		t.Fatalf("replay %v: %v", sched, err)
 	}
-	base := c.stateHash(tr, true)
+	base := c.stateHash()
 	return c.canonicalKey(sy, base, sleep), mix64(base, sleep), base
 }
 
@@ -146,7 +145,7 @@ func TestSymDigestIdentityMatchesStateHash(t *testing.T) {
 		j := j
 		t.Run(j.name, func(t *testing.T) {
 			var c replayCore
-			if err := c.init(j.build, 200); err != nil {
+			if err := c.init(j.build, 200, true); err != nil {
 				t.Fatal(err)
 			}
 			defer c.close()
@@ -158,11 +157,10 @@ func TestSymDigestIdentityMatchesStateHash(t *testing.T) {
 			for walk := 0; walk < 10; walk++ {
 				sched := randomWalk(t, &c, rng, 30)
 				for _, sleep := range []uint64{0, 1, (1 << uint(j.n)) - 1} {
-					tr, _, err := c.stateAt(sched)
-					if err != nil {
+					if _, _, err := c.stateAt(sched); err != nil {
 						t.Fatal(err)
 					}
-					base := c.stateHash(tr, true)
+					base := c.stateHash()
 					got, ok := c.symDigest(sy, 0, sleep)
 					if !ok {
 						t.Fatalf("identity digest unmappable at %v", sched)
@@ -188,7 +186,7 @@ func TestCanonicalKeyPermutationInvariant(t *testing.T) {
 		j := j
 		t.Run(j.name, func(t *testing.T) {
 			var c replayCore
-			if err := c.init(j.build, 200); err != nil {
+			if err := c.init(j.build, 200, true); err != nil {
 				t.Fatal(err)
 			}
 			defer c.close()
@@ -248,7 +246,7 @@ func TestAsymmetricProgramNeverCollapsed(t *testing.T) {
 		return mem, procs, nil
 	}
 	var c replayCore
-	if err := c.init(build, 64); err != nil {
+	if err := c.init(build, 64, false); err != nil {
 		t.Fatal(err)
 	}
 	if sy := newSymCanon(c.mem, 3); sy != nil {

@@ -169,7 +169,7 @@ func NewWaveProber(build Builder, prop Property, opts Options) (*WaveProber, err
 		maxDepth = 200
 	}
 	p := &WaveProber{}
-	if err := p.core.init(build, maxDepth); err != nil {
+	if err := p.core.init(build, maxDepth, opts.CollapseSpins); err != nil {
 		return nil, err
 	}
 	nprocs := len(p.core.procs)
@@ -184,7 +184,6 @@ func NewWaveProber(build Builder, prop Property, opts Options) (*WaveProber, err
 		prop:     prop,
 		opts:     opts,
 		maxDepth: maxDepth,
-		collapse: opts.CollapseSpins,
 		nprocs:   nprocs,
 		sym:      sym,
 	}

@@ -96,7 +96,7 @@
 // the offending connection; a job exceeding the coordinator's job
 // timeout is reported DEGRADED instead of wedging the run.
 //
-// # Wire format (protocol v3)
+// # Wire format (protocol v4)
 //
 // A frame is a 4-byte big-endian payload length, at most MaxFrame, then
 // the payload: one tag byte naming the message type, then every Msg
@@ -124,7 +124,9 @@
 // treats every byte as untrusted and fails the frame, never the process:
 //
 //   - a length of zero or above MaxFrame is rejected before the payload
-//     is read;
+//     is read, and an accepted length allocates nothing by itself: the
+//     payload buffer starts at 64 KiB at most and doubles only as bytes
+//     arrive, so a peer that declares 8 MiB and stalls pins one chunk;
 //   - every count is checked against the bytes left divided by the
 //     smallest encoding of one element before anything is allocated for
 //     it, so a frame claiming 2^40 reports costs nothing, and decoded
@@ -139,6 +141,15 @@
 // (Dial/Serve over an opaque address) carries the byte stream: TCP for
 // real deployments, an in-process pipe (NewPipeTransport) for
 // deterministic tests, leaving room for a durable queue later.
+//
+// Protocol v4 changes, relative to v3:
+//
+//   - the frames are unchanged, but the state digests in probe replies
+//     (ProbeReport.Hash) and wave replies (WaveReport.Key) follow the
+//     checker's incremental state identity; a v3 worker's digests would
+//     never match a v4 coordinator's visited keys, so the run would
+//     double-count states instead of failing, and the version check at
+//     hello refuses it.
 //
 // Protocol v3 changes, relative to v2:
 //

@@ -452,6 +452,12 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	if _, err := v2.rwc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)); err != nil {
 		t.Fatalf("v2 hello: %v", err)
 	}
+	// A version 3 worker speaks the same codec, so its hello decodes; it
+	// must still be dropped, since its state digests differ from v4's.
+	v3 := dialRaw(t, pt, "coord")
+	if err := fabric.WriteFrame(v3.rwc, &fabric.Msg{T: fabric.MsgHello, V: 3}); err != nil {
+		t.Fatalf("v3 hello: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -465,7 +471,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	wg.Wait()
 	// A dropped connection reads end of stream; one the coordinator kept
 	// would have been sent bye.
-	for name, c := range map[string]*rawConn{"future": future, "v2": v2} {
+	for name, c := range map[string]*rawConn{"future": future, "v2": v2, "v3": v3} {
 		var m fabric.Msg
 		if err := fabric.ReadFrame(c.rwc, &m); err == nil {
 			t.Errorf("%s worker was sent a %q frame; its connection should have been dropped at hello", name, m.T)

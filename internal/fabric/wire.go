@@ -17,16 +17,27 @@ import (
 // replayed/saved event counters on probe replies. Version 3 replaced the
 // JSON payload with the binary codec in codec.go; the messages and their
 // fields are version 2's. A version 2 hello fails to decode as version 3,
-// which drops its connection like a mismatched version does.
-const ProtoVersion = 3
+// which drops its connection like a mismatched version does. Version 4
+// changed the state digest behind ProbeReport.Hash and WaveReport.Key
+// (the checker's incremental state identity); the frames are version
+// 3's, but a version 3 worker's digests never match a version 4
+// coordinator's visited keys, so mixing them would double-count states.
+const ProtoVersion = 4
 
 // MaxFrame bounds a single frame's payload. A frame announcing a larger
-// length is a protocol violation and drops the connection — the guard
-// that keeps a malformed or hostile length prefix from turning into an
-// arbitrary allocation; the codec bounds every count inside the payload
-// by the bytes that remain, so the decoded Msg stays proportional to
-// the payload too.
+// length is a protocol violation and drops the connection. ReadFrame
+// grows its buffer only as payload bytes arrive (see readChunk), so a
+// declared length never turns into an allocation by itself; the codec
+// bounds every count inside the payload by the bytes that remain, so the
+// decoded Msg stays proportional to the payload too.
 const MaxFrame = 8 << 20
+
+// readChunk is ReadFrame's first payload buffer. A frame up to this size
+// — every frame an exploration sends, in practice — is read into one
+// allocation; a larger one doubles the buffer each time it fills, so what
+// a peer that declares a long frame and stalls pins is bounded by the
+// bytes it sent, plus this chunk.
+const readChunk = 64 << 10
 
 // Message types (Msg.T).
 const (
@@ -238,13 +249,21 @@ func ReadFrame(r io.Reader, m *Msg) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n == 0 || n > MaxFrame {
 		return fmt.Errorf("fabric: malformed frame: length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("fabric: truncated frame: %w", err)
+	buf := make([]byte, min(n, readChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, buf[got:])
+		got += k
+		if err != nil {
+			return fmt.Errorf("fabric: truncated frame: %w", err)
+		}
+		if got == n {
+			break
+		}
+		buf = append(buf, make([]byte, min(got, n-got))...)
 	}
 	*m = Msg{}
 	d := decoder{b: buf}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime/metrics"
+	"strings"
 	"testing"
 
 	"cfc/internal/check"
@@ -189,6 +190,24 @@ func TestReadFrameBoundsCounts(t *testing.T) {
 	}
 }
 
+// TestReadFrameAllocatesWhatArrives declares the largest legal frame,
+// sends a few payload bytes and ends the stream: ReadFrame must report
+// the truncated frame having allocated no more than its first chunk, not
+// the 8 MiB the header declared.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	in := binary.BigEndian.AppendUint32(nil, fabric.MaxFrame)
+	in = append(in, 1, 2, 3, 4, 5, 6, 7, 8)
+	var m fabric.Msg
+	var err error
+	n := allocBytes(func() { err = fabric.ReadFrame(bytes.NewReader(in), &m) })
+	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+		t.Fatalf("got error %v, want a truncated-frame error", err)
+	}
+	if n >= 256<<10 {
+		t.Fatalf("a stalled %d-byte frame header allocated %d bytes", fabric.MaxFrame, n)
+	}
+}
+
 // FuzzReadFrame feeds ReadFrame arbitrary bytes. It must never panic,
 // its allocations must stay proportional to the input (a count the
 // frame cannot hold is rejected before anything is allocated for it),
@@ -213,18 +232,14 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(rawFrame(append(huge, make([]byte, 64)...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// ReadFrame allocates the payload buffer the header declares
-		// (MaxFrame bounds it; large allocations round up to whole
-		// pages). Decoding then allocates at most 24 bytes (an empty
-		// probe chain's slice header) per payload byte; 64 leaves room
-		// for size classes, and 1 MiB for the fuzzing engine's own
-		// allocations during the call.
-		limit := uint64(1 << 20)
-		if len(data) >= 4 {
-			if n := binary.BigEndian.Uint32(data); n <= fabric.MaxFrame {
-				limit += 2*uint64(n) + 64*uint64(len(data))
-			}
-		}
+		// ReadFrame's payload buffer starts at 64 KiB at most and
+		// doubles only as bytes arrive, so it stays within a few times
+		// the input, whatever length the header declares. Decoding then
+		// allocates at most 24 bytes (an empty probe chain's slice
+		// header) per payload byte; 64 per input byte leaves room for
+		// both and for size classes, and 1 MiB covers the first chunk
+		// and the fuzzing engine's own allocations during the call.
+		limit := uint64(1<<20) + 64*uint64(len(data))
 		var m fabric.Msg
 		var err error
 		if n := allocBytes(func() { err = fabric.ReadFrame(bytes.NewReader(data), &m) }); n > limit {

@@ -170,6 +170,25 @@ func (s *Session) Decisions() []int { return s.decisions }
 // Depth returns the number of decisions performed, len(Decisions()).
 func (s *Session) Depth() int { return len(s.decisions) }
 
+// EventsBefore returns the trace length before decision k of the stack,
+// for 0 <= k <= Depth(); k == Depth() gives the current trace length. It
+// is the cut a rewind to k keeps: a Seek whose schedule first differs
+// from the stack at decision k leaves the trace's first EventsBefore(k)
+// events untouched, so state derived from them event by event survives
+// the Seek.
+func (s *Session) EventsBefore(k int) int {
+	if k < len(s.evAt) {
+		return s.evAt[k]
+	}
+	return len(s.loop.buf.tr.Events)
+}
+
+// Values returns the live memory's cell values, in declaration order,
+// as of the session's current position. The slice aliases session state
+// — it is valid until the next Step, Crash, Restart, TruncateTo or Seek
+// and must not be modified.
+func (s *Session) Values() []uint64 { return s.loop.mem.vals }
+
 // Executed returns how many decisions the session has executed since it
 // started: every decision performed — by Step, Crash and Restart, or by
 // Seek, TruncateTo and revival replaying a schedule — plus every decision

@@ -254,6 +254,38 @@ func TestSessionSeek(t *testing.T) {
 	}
 }
 
+// TestSessionEventsBeforeAndValues pins the two read-only accessors the
+// model checker's incremental state identity rests on: EventsBefore(k) is
+// the trace length before decision k (the current length at k ==
+// Depth()), a Seek that diverges at decision k keeps exactly that many
+// events, and Values is the memory the resulting trace replays to.
+func TestSessionEventsBeforeAndValues(t *testing.T) {
+	s := startTestSession(t)
+	defer s.Close()
+	var lens []int
+	for _, d := range []int{0, 0, 1, 0, 1} {
+		lens = append(lens, len(s.Trace().Events))
+		mustSteps(t, s, d)
+	}
+	lens = append(lens, len(s.Trace().Events))
+	for k, want := range lens {
+		if got := s.EventsBefore(k); got != want {
+			t.Fatalf("EventsBefore(%d) = %d, want %d", k, got, want)
+		}
+	}
+	before := eventsSnapshot(s)
+	if err := s.Seek([]int{0, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	after := eventsSnapshot(s)
+	if !slices.Equal(after[:lens[2]], before[:lens[2]]) {
+		t.Fatalf("a seek diverging at decision 2 changed the first %d events", lens[2])
+	}
+	if got, want := s.Values(), s.Trace().ReplayValues(len(after)); !slices.Equal(got, want) {
+		t.Fatalf("Values() = %v, the trace replays to %v", got, want)
+	}
+}
+
 func TestSessionCloseThenRevive(t *testing.T) {
 	s := startTestSession(t)
 	mustSteps(t, s, 0, 1)

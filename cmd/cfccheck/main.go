@@ -17,7 +17,7 @@
 //	cfccheck -pordiff             # three-way reduction differential gate
 //	cfccheck -serve :9401         # coordinate the portfolio over the fabric
 //	cfccheck -join host:9401      # join a coordinator as a worker
-//	cfccheck -serve :9401 -shards 2              # shard explorations too
+//	cfccheck -serve :9401 -shards 2              # DPOR jobs as distributed waves
 //	cfccheck -n 3 -cpuprofile check.prof          # profile the run
 //
 // The job list is the fleet's workload registry (internal/fleet): the
@@ -45,13 +45,12 @@
 // fabric (internal/fabric): the coordinator owns the job queue, workers
 // pull jobs over TCP, and the merged rows are byte-identical to the
 // single-process output (plus one FABRIC-SUMMARY trailer line). With
-// -shards > 1 every job is split across all connected workers: non-DPOR
-// jobs as prefix-local frontier probes (descent chains riding each
-// worker's live replay session), DPOR jobs as distributed expansion
-// waves whose serial commit stays at the coordinator. The summary line
-// reports the locality counters (events_replayed/events_saved, in
-// schedule decisions — the saved column is replay work a root-replaying
-// prober would have done).
+// -shards > 1 each DPOR job is split across all connected workers as
+// distributed expansion waves whose serial commit stays at the
+// coordinator; every other job still travels whole. The summary line
+// reports the wave probers' locality counters (events_replayed/
+// events_saved, in schedule decisions — the saved column is replay work
+// a root-replaying prober would have done).
 // Job flags (-n, -kind, -depth, ...) are the coordinator's; workers
 // need none.
 package main
@@ -100,7 +99,7 @@ func run() int {
 
 		serve      = flag.String("serve", "", "coordinate the portfolio over the distributed fabric, listening at this TCP address")
 		join       = flag.String("join", "", "join a fabric coordinator at this TCP address as a worker")
-		shards     = flag.Int("shards", 0, "with -serve: >1 shards every job across the workers (frontier subtrees; DPOR jobs as expansion waves)")
+		shards     = flag.Int("shards", 0, "with -serve: >1 splits each DPOR job across the workers as expansion waves (other jobs travel whole)")
 		jobtimeout = flag.Duration("jobtimeout", 5*time.Minute, "with -serve: abandon (DEGRADED) a job not completed this long after dispatch (0 = never)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	)
@@ -226,8 +225,8 @@ func printResult(name string, opts check.Options, res check.Result) (failed bool
 }
 
 // fleetRegistry is the fabric's shared job namespace: both the
-// coordinator (for witness re-verification and sharded exploration) and
-// the workers resolve job names through the same fleet registry.
+// coordinator (for witness re-verification and the wave engine) and the
+// workers resolve job names through the same fleet registry.
 func fleetRegistry(name string, n int) (check.Builder, check.Property, bool) {
 	w, ok := fleet.ByName(name, n)
 	if !ok {
@@ -271,18 +270,18 @@ func runServe(jobs []job, addr string, shards int, jobTimeout time.Duration) int
 	if stats.WallMs > 0 {
 		jobsPerS = float64(len(jobs)) / wallS
 	}
-	// events_saved counts replay work the probers' live sessions skipped,
-	// by extending or by rewinding only the processes that moved; a
-	// root-replaying prober (no persistent session) would have executed
-	// events_replayed+events_saved decisions, so locality_ratio is the
-	// prefix-locality win of this run.
+	// events_saved counts replay work the wave probers' live sessions
+	// skipped, by extending or by rewinding only the processes that
+	// moved; a root-replaying prober (no persistent session) would have
+	// executed events_replayed+events_saved decisions, so locality_ratio
+	// is the prefix-locality win of this run.
 	locality := 1.0
 	if stats.EventsReplayed > 0 {
 		locality = float64(stats.EventsReplayed+stats.EventsSaved) / float64(stats.EventsReplayed)
 	}
-	fmt.Printf("FABRIC-SUMMARY jobs=%d failed=%d workers=%d shards=%d probes=%d wave_tasks=%d "+
+	fmt.Printf("FABRIC-SUMMARY jobs=%d failed=%d workers=%d shards=%d wave_tasks=%d "+
 		"events_replayed=%d events_saved=%d locality_ratio=%.2f wall_ms=%d jobs_per_s=%.2f\n",
-		len(jobs), failed, stats.Workers, shards, stats.Probes, stats.WaveTasks,
+		len(jobs), failed, stats.Workers, shards, stats.WaveTasks,
 		stats.EventsReplayed, stats.EventsSaved, locality, stats.WallMs, jobsPerS)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "cfccheck: %d job(s) failed\n", failed)

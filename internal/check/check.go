@@ -225,7 +225,9 @@ func exploreDispatch(build Builder, prop Property, opts Options, maxDepth, maxSt
 
 // exploreAuto implements Options.PORAuto: a reduced exploration first,
 // then — only when the reduction was unprofitable — the exhaustive
-// reference, keeping whichever visited fewer states.
+// reference, keeping whichever visited fewer states, or the reference
+// when it found a violation (marked PORDisabled). The fabric ships
+// PORAuto jobs whole, so this is the decision's only copy.
 func exploreAuto(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
 	por, err := exploreDispatch(build, prop, opts, maxDepth, maxStates)
 	if err != nil {
@@ -233,9 +235,8 @@ func exploreAuto(build Builder, prop Property, opts Options, maxDepth, maxStates
 	}
 	// Violations are sound under POR, and a healthy reduction (at least a
 	// quarter of expanded nodes reduced) is kept without paying for the
-	// reference run. The decision and the pick are the exported helpers so
-	// distributed coordinators replicate them bit-for-bit (see shard.go).
-	if PORAutoKeepReduced(por) {
+	// reference run.
+	if por.Violation != nil || por.ReducedNodes*4 >= por.States {
 		return por, nil
 	}
 	ref := opts
@@ -244,7 +245,11 @@ func exploreAuto(build Builder, prop Property, opts Options, maxDepth, maxStates
 	if err != nil {
 		return Result{}, err
 	}
-	return PORAutoPick(por, full), nil
+	if full.Violation != nil || full.States < por.States {
+		full.PORDisabled = true
+		return full, nil
+	}
+	return por, nil
 }
 
 // exploreSerial is the single-goroutine depth-first explorer.

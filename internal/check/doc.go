@@ -128,6 +128,13 @@
 // counterexamples — are therefore bit-identical at any Workers count by
 // construction, with no serial re-run.
 //
+// The same split is the checker's only distribution seam (wave.go):
+// WaveProbers run the stage pass in other processes and a WaveMaster
+// runs the commit, so the fabric (internal/fabric) spreads one DPOR
+// exploration over workers wave by wave. Explorations with the other
+// engines are not split; the fabric ships each one whole to a worker,
+// which runs Explore unchanged.
+//
 // # Serial and parallel exploration
 //
 // Options.Workers selects between two explorers over the same replay

@@ -91,8 +91,8 @@ const (
 )
 
 // executed is the live session's executed-decision count
-// (sim.Session.Executed), zero before the first replay; probers charge
-// each probe the difference across its stateAt.
+// (sim.Session.Executed), zero before the first replay; wave probers
+// charge each task the difference across its stage pass.
 func (c *replayCore) executed() int {
 	if c.sess == nil {
 		return 0

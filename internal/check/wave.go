@@ -7,23 +7,90 @@ import (
 	"cfc/internal/sim"
 )
 
-// This file is the DPOR engine's half of the distributed check fabric:
-// the exported seam along the wave-BSP split dpor.go already makes
-// in-process. A wave's stage pass is a pure function of its task list
-// (see the determinism argument in dpor.go), so it can run anywhere —
-// the WaveProber is that pass behind a wire-shaped interface, and the
-// WaveMaster is everything else: the node tree, the visited set and the
-// serial commit pass, which never replays anything and so needs no
-// program instance beyond the one build used to size the engine.
+// This file is the checker's half of the distributed check fabric
+// (internal/fabric): the exported seam along the wave-BSP split dpor.go
+// already makes in-process. A wave's stage pass is a pure function of its
+// task list (see the determinism argument in dpor.go), so it can run
+// anywhere — the WaveProber is that pass behind a wire-shaped interface,
+// and the WaveMaster is everything else: the node tree, the visited set
+// and the serial commit pass, which never replays anything and so needs
+// no program instance beyond the one build used to size the engine.
 //
-// The contract mirrors shard.go's Prober/ShardMaster split, with one
-// difference forced by the engine: probes are independent, waves are
-// not. The master hands out the WHOLE current wave, the coordinator
-// chunks it over workers however it likes, and Commit requires exactly
-// one report per task in task order — a barrier per tree level. Any
-// chunking, any worker count and any report arrival order produce
-// byte-identical results, because Commit is the same serial code the
-// in-process engine runs and the reports it consumes are pure.
+// The master hands out the WHOLE current wave, the coordinator chunks it
+// over workers however it likes, and Commit requires exactly one report
+// per task in task order — a barrier per tree level. Any chunking, any
+// worker count and any report arrival order produce byte-identical
+// results, because Commit is the same serial code the in-process engine
+// runs and the reports it consumes are pure. Explorations with the other
+// engines do not split: the fabric ships them whole to one worker, which
+// runs Explore.
+
+// Node is one wave task in wire shape: the decision schedule reaching it
+// (Session.Decisions encoding — entry pid steps that process, entry
+// -pid-1 crashes it) plus the sleep mask it inherited. Nodes travel
+// between processes; all fields are plain wire data.
+type Node struct {
+	Schedule []int
+	Sleep    uint64
+}
+
+// ProbeStats counts a wave prober's work in schedule decisions. A prober
+// that replayed every task from the root would have executed
+// Replayed+Saved decisions, the tasks' total schedule length; the ratio
+// of that sum to Replayed is what the live session saved.
+type ProbeStats struct {
+	// Probes is the number of wave tasks expanded.
+	Probes int64
+	// Replayed is the number of decisions actually executed to position
+	// the live session (sim.Session.Executed): decisions performed, plus
+	// decisions a rewind re-fed to the processes that moved.
+	Replayed int64
+	// Saved is the rest of the tasks' schedules: decisions the live
+	// session already held, in the prefix it extended or in the
+	// processes a rewind left parked.
+	Saved int64
+}
+
+// account charges one task of an n-decision schedule that cost the
+// session executed decisions.
+func (s *ProbeStats) account(executed, n int) {
+	s.Replayed += int64(executed)
+	s.Saved += int64(n - executed)
+}
+
+// ReplaysToViolation replays a witness schedule (Decisions encoding:
+// entry pid steps pid, entry -pid-1 crashes it) through a session on a
+// fresh program instance and reports whether it reproduces a violation:
+// either the property rejects the trace, or — mirroring the explorers'
+// leaf check under Options.ExpectTermination — the replayed run is
+// maximal with a started process that neither terminated nor crashed.
+// It is the independent re-verification step distributed coordinators
+// (and cfccheck -pordiff) run on every witness that arrives over a wire
+// before trusting it.
+func ReplaysToViolation(build Builder, prop Property, opts Options, schedule []int) (bool, error) {
+	mem, procs, err := build()
+	if err != nil {
+		return false, err
+	}
+	sess, err := sim.StartSession(sim.Config{Mem: mem, Procs: procs, MaxSteps: len(schedule) + 1})
+	if err != nil {
+		return false, err
+	}
+	defer sess.Close()
+	if err := sess.Seek(schedule); err != nil {
+		return false, fmt.Errorf("witness schedule does not replay: %w", err)
+	}
+	tr := sess.Trace()
+	if prop(tr) != nil {
+		return true, nil
+	}
+	if opts.ExpectTermination && sess.Finished() {
+		if _, ok := unterminated(tr); ok {
+			return true, nil
+		}
+	}
+	return false, nil
+}
 
 // DepthMask is one backtrack registration in wire shape: the
 // race-initials mask to register at the path ancestor at the given
@@ -80,7 +147,7 @@ type WaveMaster struct {
 // like the in-process engine's fallback boundary.
 func NewWaveMaster(build Builder, prop Property, opts Options) (*WaveMaster, error) {
 	if !opts.DPOR {
-		return nil, errors.New("check: wave distribution requires the DPOR engine; shard non-DPOR explorations with a ShardMaster")
+		return nil, errors.New("check: wave distribution requires the DPOR engine; run other explorations whole with Explore")
 	}
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
@@ -140,10 +207,9 @@ func (m *WaveMaster) Commit(reports []WaveReport) error {
 // Done reports the exploration is complete (the next wave is empty).
 func (m *WaveMaster) Done() bool { return len(m.e.wave) == 0 }
 
-// Result summarises the exploration. Unlike the ShardMaster, no serial
-// canonicalisation pass is needed: the commit pass already selects the
-// same (schedule-least at the first violating wave) witness the
-// in-process engine reports.
+// Result summarises the exploration. No serial canonicalisation pass is
+// needed: the commit pass already selects the same (schedule-least at the
+// first violating wave) witness the in-process engine reports.
 func (m *WaveMaster) Result() Result { return m.e.result() }
 
 // WaveProber executes wave-task stages for one program: the worker side
@@ -162,7 +228,7 @@ type WaveProber struct {
 // expansion — and the program must match the WaveMaster's.
 func NewWaveProber(build Builder, prop Property, opts Options) (*WaveProber, error) {
 	if !opts.DPOR {
-		return nil, errors.New("check: wave probing requires the DPOR engine; use a Prober for static-POR and reference explorations")
+		return nil, errors.New("check: wave probing requires the DPOR engine; run other explorations whole with Explore")
 	}
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
@@ -194,17 +260,15 @@ func NewWaveProber(build Builder, prop Property, opts Options) (*WaveProber, err
 // Close releases the prober's live session.
 func (p *WaveProber) Close() { p.core.close() }
 
-// Stats returns the prober's cumulative replay accounting (Deduped is
-// always zero — wave tasks are never duplicates by construction: the
-// master dispatches each tree node once).
+// Stats returns the prober's cumulative replay accounting.
 func (p *WaveProber) Stats() ProbeStats { return p.stats }
 
 // ProbeWave runs the stage pass for one wave task: replay, race
 // analysis, property check, visited key, first batch, compensation —
 // dpor.go's pure per-task work, with panics contained as errors like
 // everywhere else in the checker. Consecutive tasks share their
-// longest common schedule prefix through the live session, exactly
-// like Prober.Probe.
+// longest common schedule prefix through the live session, the fast
+// path the serial DFS rides.
 func (p *WaveProber) ProbeWave(nd Node) (rep WaveReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -19,7 +19,7 @@ import (
 // is its type's index here.
 var msgTags = [...]string{
 	MsgHello, MsgJob, MsgResult, MsgShardOpen, MsgShardClose,
-	MsgProbe, MsgProbed, MsgWave, MsgWaved, MsgError, MsgBye,
+	MsgWave, MsgWaved, MsgError, MsgBye,
 }
 
 // encoder appends a payload to b.
@@ -76,13 +76,6 @@ func (e *encoder) msg(m *Msg) error {
 	for i := range m.Nodes {
 		e.node(&m.Nodes[i])
 	}
-	e.count(len(m.Reports))
-	for _, chain := range m.Reports {
-		e.count(len(chain))
-		for i := range chain {
-			e.report(&chain[i])
-		}
-	}
 	e.count(len(m.WReports))
 	for i := range m.WReports {
 		e.waveReport(&m.WReports[i])
@@ -116,7 +109,6 @@ func (e *encoder) node(n *WireNode) {
 	e.int(n.P)
 	e.ints(n.S)
 	e.uvarint(n.Sleep)
-	e.flag(n.Full)
 }
 
 func (e *encoder) violation(v *WireViolation) {
@@ -135,26 +127,6 @@ func (e *encoder) result(r *WireResult) {
 	e.flag(r.PORDisabled)
 	e.flag(r.SymmetryApplied)
 	e.violation(r.Vio)
-}
-
-// report writes a Report; the embedded ProbeReport.Violation is not
-// wire data (the violation travels flattened as Vio).
-func (e *encoder) report(r *Report) {
-	e.uvarint(r.Hash)
-	e.flag(r.Leaf)
-	e.flag(r.DepthTruncated)
-	e.flag(r.Dup)
-	e.flag(r.Reduced)
-	e.count(len(r.Branches))
-	for _, b := range r.Branches {
-		e.branch(b)
-	}
-	e.violation(r.Vio)
-}
-
-func (e *encoder) branch(b check.Branch) {
-	e.int(b.Entry)
-	e.uvarint(b.Sleep)
 }
 
 func (e *encoder) waveReport(r *check.WaveReport) {
@@ -204,8 +176,6 @@ func (e *encoder) depthMask(m check.DepthMask) {
 // bool, presence byte and length prefix of it is one byte.
 var (
 	nodeMin       = encodedLen(func(e *encoder) { e.node(&WireNode{}) })
-	reportMin     = encodedLen(func(e *encoder) { e.report(&Report{}) })
-	branchMin     = encodedLen(func(e *encoder) { e.branch(check.Branch{}) })
 	waveReportMin = encodedLen(func(e *encoder) { e.waveReport(&check.WaveReport{}) })
 	pendingOpMin  = encodedLen(func(e *encoder) { e.pendingOp(&sim.PendingOp{}) })
 	depthMaskMin  = encodedLen(func(e *encoder) { e.depthMask(check.DepthMask{}) })
@@ -339,17 +309,6 @@ func (d *decoder) msg(m *Msg) error {
 			d.node(&m.Nodes[i])
 		}
 	}
-	if n := d.count(1); n > 0 {
-		m.Reports = make([][]Report, n)
-		for i := range m.Reports {
-			if k := d.count(reportMin); k > 0 {
-				m.Reports[i] = make([]Report, k)
-				for j := range m.Reports[i] {
-					d.report(&m.Reports[i][j])
-				}
-			}
-		}
-	}
 	if n := d.count(waveReportMin); n > 0 {
 		m.WReports = make([]check.WaveReport, n)
 		for i := range m.WReports {
@@ -383,7 +342,6 @@ func (d *decoder) node(n *WireNode) {
 	n.P = d.int()
 	n.S = d.ints()
 	n.Sleep = d.uvarint()
-	n.Full = d.flag()
 }
 
 func (d *decoder) violation() *WireViolation {
@@ -403,21 +361,6 @@ func (d *decoder) result() *WireResult {
 	r.SymmetryApplied = d.flag()
 	r.Vio = d.violation()
 	return r
-}
-
-func (d *decoder) report(r *Report) {
-	r.Hash = d.uvarint()
-	r.Leaf = d.flag()
-	r.DepthTruncated = d.flag()
-	r.Dup = d.flag()
-	r.Reduced = d.flag()
-	if n := d.count(branchMin); n > 0 {
-		r.Branches = make([]check.Branch, n)
-		for i := range r.Branches {
-			r.Branches[i] = check.Branch{Entry: d.int(), Sleep: d.uvarint()}
-		}
-	}
-	r.Vio = d.violation()
 }
 
 func (d *decoder) waveReport(r *check.WaveReport) {

@@ -1,8 +1,7 @@
 // Package fabric is the distributed check fabric: a coordinator/worker
-// layer that spreads a cfccheck portfolio — and, for large
-// configurations, single explorations — across processes over a
-// pluggable transport, with results bit-identical to the single-process
-// run.
+// layer that spreads a cfccheck portfolio — and, for DPOR jobs, single
+// explorations — across processes over a pluggable transport, with
+// results bit-identical to the single-process run.
 //
 // # Topology
 //
@@ -14,101 +13,60 @@
 // its outstanding work and any other worker (or the same one,
 // reconnected) re-executes it with an identical outcome.
 //
-// Work travels at three granularities:
+// Work travels at two granularities:
 //
 //   - Whole portfolio entries (JobSpec: workload name, process count,
 //     check.Options). The worker runs check.Explore exactly as the
-//     single-process cfccheck would and returns the Result. This is the
-//     path when sharding is off (Shards <= 1).
+//     single-process cfccheck would — PORAuto's two passes included —
+//     and returns the Result. Every job travels this way when sharding
+//     is off (Shards <= 1), and every non-DPOR job travels this way
+//     when it is on.
 //
-//   - Frontier subtrees, for sharding one DFS exploration across
-//     machines. The coordinator runs a check.ShardMaster (the one
-//     visited set); workers hold a check.Prober per open shard and turn
-//     batches of frontier nodes — serialised decision-stack prefixes
-//     plus their sleep masks, executed via Session.Seek — into probe
-//     reports. This splits an exploration exactly the way the
-//     in-process work-stealer splits it across cores, except the
-//     visited-set arbitration stays at the coordinator, which is what
-//     keeps the merged counters exact.
-//
-//   - DPOR waves. The wave-synchronised DPOR engine is not
-//     frontier-shardable (sleep sets flow between siblings), so sharded
-//     DPOR jobs run as a BSP split instead: a check.WaveMaster at the
+//   - DPOR waves (Shards > 1, DPOR jobs). The wave-synchronised DPOR
+//     engine splits along its BSP seam: a check.WaveMaster at the
 //     coordinator owns the node tree, visited set and the serial commit
 //     pass, and each wave's pure expansion tasks fan out to workers
 //     (check.WaveProber) in contiguous chunks. Waves are barriers;
 //     reports are reassembled into task order before commit, which makes
 //     the result bit-identical at any worker count by induction over
-//     waves.
+//     waves. A wave prober keeps its live session across chunks, and
+//     wave replies carry replayed/saved decision deltas
+//     (check.ProbeStats); cfccheck surfaces them in FABRIC-SUMMARY as
+//     the locality ratio (the tasks' total schedule length over the
+//     decisions the sessions actually executed).
 //
-// # Locality
-//
-// Frontier scheduling is prefix-local so that worker probers — whose sim
-// sessions extend in place and rewind any divergence by re-running the
-// processes that moved since the common prefix — mostly extend:
-//
-//   - Affinity: a node's children are routed to the deque of the worker
-//     that reported them, and each owner's batch is drained deepest-
-//     first in DFS order, so consecutive nodes share long schedule
-//     prefixes with the session the owner already holds.
-//
-//   - Descent chains: after probing an expandable node a prober
-//     immediately probes its first branch — a one-decision session
-//     extension — and repeats until a leaf, violation, truncation or
-//     dedup hit, returning the whole chain in one reply. The master
-//     replays the chain link by link against the authoritative visited
-//     set, reconstructing each link's node from its own parent copy (a
-//     report can never inject an underived node) and stopping at the
-//     first arbitration loss; non-first branches are enqueued to the
-//     owner's deque.
-//
-//   - Steal-on-idle: affinity is advisory. A worker with an empty deque
-//     steals from the unowned pool, then from other owners, so a
-//     stalled or lost worker never wedges the exploration.
-//
-// A worker's advisory dedup cache of reported state digests
-// short-circuits probes of states it already reported; the
-// coordinator's visited set stays authoritative, and a dedup reply the
-// master cannot arbitrate is re-dispatched with the cache bypassed
-// (Node.Full), which always makes progress. Probe replies carry
-// replayed/saved decision deltas (check.ProbeStats); cfccheck surfaces
-// them in FABRIC-SUMMARY as the locality ratio (the probed schedules'
-// total length over the decisions the sessions actually executed, so it
-// counts cheap rewinds as well as extensions).
+// The wave jobs run first, one at a time with the whole pool, and the
+// whole jobs then fan out over the pool.
 //
 // # Guarantees
 //
 // At any worker and shard count, portfolio verdicts, States, Runs,
 // Truncated and ReducedNodes equal the single-process run, and a
-// violating entry reports the identical canonical witness: whole-entry
-// results are the deterministic check.Explore output, sharded
-// explorations close the same visited set as the serial explorer (see
-// check/shard.go for the argument), and every violation is re-verified
-// at the coordinator — witnesses by serial replay (check.ReplaysToViolation),
-// sharded detections by a canonical serial rerun (check.CanonicalResult),
-// mirroring the in-process parallel explorer's contract. As in-process,
-// the counter guarantee is exact for explorations that complete within
-// their budgets; truncated counters are visit-order dependent in every
-// mode.
+// violating entry reports the identical witness: whole-entry results are
+// the deterministic check.Explore output, wave jobs run the in-process
+// engine's own serial commit over pure reports (see check/wave.go), and
+// every witness is re-verified at the coordinator by serial replay
+// (check.ReplaysToViolation) before it is reported. As in-process, a
+// whole job explored with Workers > 1 is exact only when it completes
+// within its budgets; a truncated parallel exploration depends on visit
+// order in every mode.
 //
 // Failure handling is by re-execution, never by trust: a disconnected
 // worker's jobs are re-queued; a malformed or oversized frame drops only
 // the offending connection; a job exceeding the coordinator's job
 // timeout is reported DEGRADED instead of wedging the run.
 //
-// # Wire format (protocol v4)
+// # Wire format (protocol v5)
 //
 // A frame is a 4-byte big-endian payload length, at most MaxFrame, then
 // the payload: one tag byte naming the message type, then every Msg
 // field in one fixed order, whatever the type (V, ID, Shard, Job,
-// Nodes, Reports, WReports, Res, Ms, Replayed, Saved, Err). Nested
-// structs write their fields in declaration order the same way (Report
-// skips the embedded ProbeReport.Violation, which travels as Vio).
-// Integers are encoding/binary varints — zig-zag for signed values, so
-// a small negative schedule entry (a crash decision) stays one byte —
-// bools and 8-bit enums one byte, a pointer a presence byte before its
-// value, a string or slice a length prefix before its bytes or
-// elements. JobSpec's check.Options travels as a length-prefixed JSON
+// Nodes, WReports, Res, Ms, Replayed, Saved, Err). Nested structs write
+// their fields in declaration order the same way. Integers are
+// encoding/binary varints — zig-zag for signed values, so a small
+// negative schedule entry (a crash decision) stays one byte — bools and
+// 8-bit enums one byte, a pointer a presence byte before its value, a
+// string or slice a length prefix before its bytes or elements. JobSpec's check.Options travels as a length-prefixed JSON
 // object: it appears in a few frames per job, and JSON carries any
 // field Options gains without a codec change. codec.go holds the
 // encoder and decoder; WriteFrame encodes straight after a reserved
@@ -129,7 +87,7 @@
 //     arrive, so a peer that declares 8 MiB and stalls pins one chunk;
 //   - every count is checked against the bytes left divided by the
 //     smallest encoding of one element before anything is allocated for
-//     it, so a frame claiming 2^40 reports costs nothing, and decoded
+//     it, so a frame claiming 2^40 wave reports costs nothing, and decoded
 //     memory stays proportional to the frame;
 //   - an unknown tag, a malformed or overflowing varint, a bool byte
 //     other than 0 or 1, an out-of-range integer, invalid option JSON
@@ -141,6 +99,16 @@
 // (Dial/Serve over an opaque address) carries the byte stream: TCP for
 // real deployments, an in-process pipe (NewPipeTransport) for
 // deterministic tests, leaving room for a durable queue later.
+//
+// Protocol v5 changes, relative to v4:
+//
+//   - frontier probing is gone, so the probe/probed frames
+//     (MsgProbe/MsgProbed), their descent-chain reports (Msg.Reports) and
+//     the cache-bypass bit of a node (WireNode.Full) are removed; only
+//     whole jobs and DPOR waves travel;
+//   - a version 4 hello still carries the report count, so it has a
+//     trailing byte under version 5 and fails to decode, which drops its
+//     connection like a version mismatch.
 //
 // Protocol v4 changes, relative to v3:
 //

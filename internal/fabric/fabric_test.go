@@ -25,11 +25,11 @@ func fleetRegistry(name string, n int) (check.Builder, check.Property, bool) {
 }
 
 // testJobs is a portfolio slice exercising every job shape: a DPOR entry
-// (sharded runs distribute its waves), static-POR entries (sharded runs
-// probe their frontiers), a PORAuto entry whose reduction is
-// unprofitable (tas hammers one bit, so the coordinator must run the
-// two-pass fallback), and a broken workload whose violation exercises
-// witness canonicalisation and re-verification.
+// (sharded runs distribute its waves), a static-POR entry, a PORAuto
+// entry whose reduction is unprofitable (tas hammers one bit, so the
+// worker runs the two-pass fallback), and a broken workload whose
+// violation exercises witness re-verification. Only the DPOR entry
+// shards; the others travel whole at any Shards setting.
 func testJobs() []fabric.Job {
 	base := check.Options{MaxDepth: 60, MaxStates: 1 << 17, CollapseSpins: true}
 	por := base
@@ -210,20 +210,15 @@ func TestWholeJobsEqualSingleProcess(t *testing.T) {
 	}
 }
 
-// TestShardedJobsEqualSingleProcess is the contract at the fine
-// granularity: with sharding on, non-DPOR jobs run as subtree probes
-// and DPOR jobs as distributed waves across the workers — including the
-// PORAuto two-pass and violation canonicalisation — and still report
-// exactly the single-process result. The locality counters must show
-// the prefix machinery actually engaged: events saved by live-session
-// reuse on both prober kinds.
+// TestShardedJobsEqualSingleProcess is the contract with sharding on:
+// the DPOR job runs as distributed waves across the workers, while the
+// static-POR, PORAuto-fallback and violating jobs travel whole, and
+// every job still reports exactly the single-process result. The
+// locality counters must show the wave probers' live sessions engaged.
 func TestShardedJobsEqualSingleProcess(t *testing.T) {
 	jobs := testJobs()
 	want := singleProcess(t, jobs)
 	results, stats := coordinate(t, jobs, 2, fabric.CoordOptions{Shards: 2})
-	if stats.Probes == 0 {
-		t.Errorf("sharded run probed no frontier nodes")
-	}
 	if stats.WaveTasks == 0 {
 		t.Errorf("sharded run expanded no wave tasks; DPOR job did not distribute")
 	}
@@ -235,8 +230,8 @@ func TestShardedJobsEqualSingleProcess(t *testing.T) {
 			t.Errorf("%s: %s", r.Job.Name, r.Err)
 			continue
 		}
-		if !r.Sharded {
-			t.Errorf("%s: sharded=%v, want true", r.Job.Name, r.Sharded)
+		if r.Sharded != r.Job.Opts.DPOR {
+			t.Errorf("%s: sharded=%v, want %v (only DPOR jobs shard)", r.Job.Name, r.Sharded, r.Job.Opts.DPOR)
 		}
 		assertEqual(t, r.Job.Name, want[i], r.Res)
 	}
@@ -280,7 +275,7 @@ func (r *rawConn) read() fabric.Msg {
 
 // TestWorkerDisconnectRequeues covers the worker-loss paths at both
 // granularities: a worker that takes work and vanishes mid-job costs
-// nothing — its whole-entry job and its outstanding frontier nodes are
+// nothing — its whole-entry job or its outstanding wave chunks are
 // re-queued, the run converges on the surviving worker, and the results
 // still equal the single process.
 func TestWorkerDisconnectRequeues(t *testing.T) {
@@ -299,13 +294,13 @@ func TestWorkerDisconnectRequeues(t *testing.T) {
 		}()
 
 		// The flaky worker handshakes, accepts its first piece of work —
-		// a whole-entry job, or (sharded phase) a probe batch or wave
-		// chunk — and drops the connection without answering.
+		// a whole-entry job, or (sharded phase) a wave chunk — and drops
+		// the connection without answering.
 		flaky := dialRaw(t, pt, "coord")
 		flaky.hello()
 		for {
 			m := flaky.read()
-			if m.T == fabric.MsgJob || m.T == fabric.MsgProbe || m.T == fabric.MsgWave {
+			if m.T == fabric.MsgJob || m.T == fabric.MsgWave {
 				break
 			}
 		}
@@ -424,8 +419,9 @@ func TestJobTimeoutDegrades(t *testing.T) {
 
 // TestProtocolVersionMismatch pins the handshake: an old or future
 // worker is dropped at hello, and the run completes on a good one. A
-// protocol version 2 worker's hello is JSON, which does not decode as a
-// version 3 frame at all; its connection is dropped the same way.
+// protocol version 2 worker's hello is JSON, and a version 4 worker's
+// carries a count field version 5 dropped, so neither decodes as a
+// version 5 frame at all; their connections are dropped the same way.
 func TestProtocolVersionMismatch(t *testing.T) {
 	jobs := testJobs()[:1]
 	want := singleProcess(t, jobs)
@@ -452,11 +448,15 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	if _, err := v2.rwc.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)); err != nil {
 		t.Fatalf("v2 hello: %v", err)
 	}
-	// A version 3 worker speaks the same codec, so its hello decodes; it
-	// must still be dropped, since its state digests differ from v4's.
+	// A hello in this version's codec that announces version 3 decodes,
+	// and the version check must still drop it.
 	v3 := dialRaw(t, pt, "coord")
 	if err := fabric.WriteFrame(v3.rwc, &fabric.Msg{T: fabric.MsgHello, V: 3}); err != nil {
 		t.Fatalf("v3 hello: %v", err)
+	}
+	v4 := dialRaw(t, pt, "coord")
+	if _, err := v4.rwc.Write(v4Hello); err != nil {
+		t.Fatalf("v4 hello: %v", err)
 	}
 
 	var wg sync.WaitGroup
@@ -471,7 +471,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	wg.Wait()
 	// A dropped connection reads end of stream; one the coordinator kept
 	// would have been sent bye.
-	for name, c := range map[string]*rawConn{"future": future, "v2": v2, "v3": v3} {
+	for name, c := range map[string]*rawConn{"future": future, "v2": v2, "v3": v3, "v4": v4} {
 		var m fabric.Msg
 		if err := fabric.ReadFrame(c.rwc, &m); err == nil {
 			t.Errorf("%s worker was sent a %q frame; its connection should have been dropped at hello", name, m.T)

@@ -22,7 +22,12 @@ import (
 // (the checker's incremental state identity); the frames are version
 // 3's, but a version 3 worker's digests never match a version 4
 // coordinator's visited keys, so mixing them would double-count states.
-const ProtoVersion = 4
+// Version 5 removed frontier probing: the probe/probed frames, the
+// descent-chain reports (Msg.Reports) and the cache-bypass bit of a node
+// (WireNode.Full) are gone, so only whole jobs and DPOR waves travel. A
+// version 4 hello carries one more count byte than a version 5 one and
+// fails to decode.
+const ProtoVersion = 5
 
 // MaxFrame bounds a single frame's payload. A frame announcing a larger
 // length is a protocol violation and drops the connection. ReadFrame
@@ -46,8 +51,6 @@ const (
 	MsgResult     = "result"      // worker → coordinator: ID, Res, Ms
 	MsgShardOpen  = "shard-open"  // coordinator → worker: Shard, Job
 	MsgShardClose = "shard-close" // coordinator → worker: Shard
-	MsgProbe      = "probe"       // coordinator → worker: ID, Shard, Nodes
-	MsgProbed     = "probed"      // worker → coordinator: ID, Shard, Reports, Replayed, Saved
 	MsgWave       = "wave"        // coordinator → worker: ID, Shard, Nodes
 	MsgWaved      = "waved"       // worker → coordinator: ID, Shard, WReports, Replayed, Saved
 	MsgError      = "error"       // worker → coordinator: ID or Shard, Err
@@ -57,37 +60,32 @@ const (
 // Msg is the single frame envelope; T selects which fields are
 // meaningful (see the message type constants).
 type Msg struct {
-	T     string
-	V     int
-	ID    int
-	Shard int
-	Job   *JobSpec
-	Nodes []WireNode
-	// Reports carries one descent chain per probed node of the batch,
-	// aligned with the probe frame's Nodes.
-	Reports  [][]Report
+	T        string
+	V        int
+	ID       int
+	Shard    int
+	Job      *JobSpec
+	Nodes    []WireNode
 	WReports []check.WaveReport
 	Res      *WireResult
 	Ms       int64
-	// Replayed and Saved are the probing prober's replay-count deltas
-	// for this reply (see check.ProbeStats).
+	// Replayed and Saved are the wave prober's replay-count deltas for
+	// this reply (see check.ProbeStats).
 	Replayed int64
 	Saved    int64
 	Err      string
 }
 
-// WireNode is one frontier node (or wave task) delta-encoded against
-// the FIRST node of its batch: P leading schedule entries are shared
-// with the first node's schedule, S is the remaining tail. The first
-// node of a batch always ships whole (P = 0). Batches ship in DFS
-// order sorted by decision-stack prefix, so sibling runs deep in the
-// tree collapse to a few tail entries each — the frame-size half of the
-// prefix-locality story (the replay half is the prober's live session).
+// WireNode is one wave task delta-encoded against the FIRST node of its
+// chunk: P leading schedule entries are shared with the first node's
+// schedule, S is the remaining tail. The first node of a chunk always
+// ships whole (P = 0). A chunk is a contiguous run of a wave's tasks,
+// which share long schedule prefixes, so deep in the tree each collapses
+// to a few tail entries.
 type WireNode struct {
 	P     int
 	S     []int
 	Sleep uint64
-	Full  bool
 }
 
 // encodeNodes delta-encodes a batch for the wire.
@@ -97,13 +95,13 @@ func encodeNodes(nodes []check.Node) []WireNode {
 	}
 	out := make([]WireNode, len(nodes))
 	first := nodes[0].Schedule
-	out[0] = WireNode{S: first, Sleep: nodes[0].Sleep, Full: nodes[0].Full}
+	out[0] = WireNode{S: first, Sleep: nodes[0].Sleep}
 	for i, nd := range nodes[1:] {
 		p := 0
 		for p < len(first) && p < len(nd.Schedule) && first[p] == nd.Schedule[p] {
 			p++
 		}
-		out[i+1] = WireNode{P: p, S: nd.Schedule[p:], Sleep: nd.Sleep, Full: nd.Full}
+		out[i+1] = WireNode{P: p, S: nd.Schedule[p:], Sleep: nd.Sleep}
 	}
 	return out
 }
@@ -119,7 +117,7 @@ func decodeNodes(w []WireNode) ([]check.Node, error) {
 	}
 	first := w[0].S
 	out := make([]check.Node, len(w))
-	out[0] = check.Node{Schedule: first, Sleep: w[0].Sleep, Full: w[0].Full}
+	out[0] = check.Node{Schedule: first, Sleep: w[0].Sleep}
 	for i, n := range w[1:] {
 		if n.P < 0 || n.P > len(first) {
 			return nil, fmt.Errorf("fabric: malformed node batch: prefix %d exceeds first schedule of %d", n.P, len(first))
@@ -127,7 +125,7 @@ func decodeNodes(w []WireNode) ([]check.Node, error) {
 		s := make([]int, n.P+len(n.S))
 		copy(s, first[:n.P])
 		copy(s[n.P:], n.S)
-		out[i+1] = check.Node{Schedule: s, Sleep: n.Sleep, Full: n.Full}
+		out[i+1] = check.Node{Schedule: s, Sleep: n.Sleep}
 	}
 	return out, nil
 }
@@ -135,7 +133,7 @@ func decodeNodes(w []WireNode) ([]check.Node, error) {
 // JobSpec names one unit of work: a workload from the shared registry
 // plus the exploration options. For whole-entry jobs the worker runs
 // check.Explore with exactly these options; for shard-open it builds a
-// check.Prober from them.
+// check.WaveProber from them.
 type JobSpec struct {
 	Name string
 	N    int
@@ -144,8 +142,8 @@ type JobSpec struct {
 
 // WireViolation is a check.Violation flattened for the wire (an error
 // value travels as its message). The string form is only provisional:
-// every violation that crosses the wire is re-verified or canonically
-// re-derived by serial replay at the coordinator before it is reported.
+// every violation that crosses the wire is re-verified by serial replay
+// at the coordinator before it is reported.
 type WireViolation struct {
 	Schedule []int
 	Err      string
@@ -190,26 +188,6 @@ func (r *WireResult) toCheck() check.Result {
 		ReducedNodes: r.ReducedNodes, PORDisabled: r.PORDisabled,
 		SymmetryApplied: r.SymmetryApplied, Violation: r.Vio.toCheck(),
 	}
-}
-
-// Report is a check.ProbeReport in wire shape: the codec writes the
-// embedded report's fields except Violation, which travels flattened
-// alongside as Vio.
-type Report struct {
-	check.ProbeReport
-	Vio *WireViolation
-}
-
-func toWireReport(rep check.ProbeReport) Report {
-	w := Report{ProbeReport: rep, Vio: toWireViolation(rep.Violation)}
-	w.ProbeReport.Violation = nil
-	return w
-}
-
-func (r Report) toCheck() check.ProbeReport {
-	rep := r.ProbeReport
-	rep.Violation = r.Vio.toCheck()
-	return rep
 }
 
 // framePool recycles WriteFrame's buffers. An io.Writer must not

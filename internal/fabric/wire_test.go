@@ -16,14 +16,7 @@ import (
 // msgTypes is every message type, in the codec's tag order.
 var msgTypes = []string{
 	fabric.MsgHello, fabric.MsgJob, fabric.MsgResult, fabric.MsgShardOpen, fabric.MsgShardClose,
-	fabric.MsgProbe, fabric.MsgProbed, fabric.MsgWave, fabric.MsgWaved, fabric.MsgError, fabric.MsgBye,
-}
-
-// notWire lists the fields reachable from Msg that deliberately do not
-// travel, as type.field.
-var notWire = map[string]bool{
-	// A report's violation travels flattened as Report.Vio.
-	"ProbeReport.Violation": true,
+	fabric.MsgWave, fabric.MsgWaved, fabric.MsgError, fabric.MsgBye,
 }
 
 // filledMsg returns a Msg of type typ with every wire field reachable
@@ -44,10 +37,7 @@ func fill(tb testing.TB, v reflect.Value, path string, n *uint64) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			f := v.Type().Field(i)
-			if !notWire[v.Type().Name()+"."+f.Name] {
-				fill(tb, v.Field(i), path+"."+f.Name, n)
-			}
+			fill(tb, v.Field(i), path+"."+v.Type().Field(i).Name, n)
 		}
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
@@ -104,6 +94,11 @@ func rawFrame(payload []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
+// v4Hello is a protocol version 4 worker's hello as it went on the wire:
+// tag 0, V 4, then eleven zero fields, one more than version 5 has (v4
+// carried a probe-report count).
+var v4Hello = rawFrame([]byte{0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+
 // TestFrameRoundTrip requires ReadFrame(WriteFrame(m)) to equal m for a
 // Msg with every wire field set, under every message type, and for a
 // Msg whose slices hold zero-valued elements.
@@ -113,10 +108,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		msgs = append(msgs, filledMsg(t, typ))
 	}
 	msgs = append(msgs, &fabric.Msg{T: fabric.MsgHello, V: fabric.ProtoVersion}, &fabric.Msg{
-		T:        fabric.MsgProbed,
+		T:        fabric.MsgWaved,
 		Job:      &fabric.JobSpec{},
 		Nodes:    []fabric.WireNode{{}},
-		Reports:  [][]fabric.Report{nil, {{}}},
 		WReports: []check.WaveReport{{}},
 		Res:      &fabric.WireResult{Vio: &fabric.WireViolation{}},
 	})
@@ -133,9 +127,9 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestFrameRejectsMalformed pins the hostile-input rules on a valid
 // wave frame changed in one place, and the encoder's refusal of a
-// message type without a tag. The payload is 17 bytes: tag, V, ID,
-// Shard, Job presence, Nodes count 1, the node's P, S count, Sleep and
-// Full, then Reports, WReports, Res presence, Ms, Replayed, Saved, Err.
+// message type without a tag. The payload is 15 bytes: tag, V, ID,
+// Shard, Job presence, Nodes count 1, the node's P, S count and Sleep,
+// then WReports, Res presence, Ms, Replayed, Saved, Err.
 func TestFrameRejectsMalformed(t *testing.T) {
 	wave := frame(t, &fabric.Msg{T: fabric.MsgWave, Nodes: []fabric.WireNode{{}}})[4:]
 	with := func(i int, b byte) []byte {
@@ -147,7 +141,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		"trailing byte":      rawFrame(append(append([]byte(nil), wave...), 0)),
 		"truncated payload":  rawFrame(wave[:len(wave)-1]),
 		"unknown tag":        with(0, byte(len(msgTypes))),
-		"bool byte 2":        with(9, 2),
+		"bool byte 2":        with(4, 2),
 		"overflowing varint": rawFrame(append([]byte{wave[0]}, bytes.Repeat([]byte{0x80}, 10)...)),
 	} {
 		var m fabric.Msg
@@ -226,19 +220,22 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(waved[:3])
 	f.Add(waved[:len(waved)/2])
 	f.Add(rawFrame(waved[4 : len(waved)/2]))
-	// A waved frame claiming 2^40 wave reports: tag 8, V, ID and Shard
-	// zero, no job, no nodes, no probe reports, then the count.
-	huge := binary.AppendUvarint([]byte{8, 0, 0, 0, 0, 0, 0}, 1<<40)
+	// A waved frame claiming 2^40 wave reports: tag 6, V, ID and Shard
+	// zero, no job, no nodes, then the count.
+	huge := binary.AppendUvarint([]byte{6, 0, 0, 0, 0, 0}, 1<<40)
 	f.Add(rawFrame(append(huge, make([]byte, 64)...)))
+	f.Add(v4Hello)
+	// A header declaring the largest legal frame, then a few bytes.
+	f.Add(append(binary.BigEndian.AppendUint32(nil, fabric.MaxFrame), 1, 2, 3, 4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// ReadFrame's payload buffer starts at 64 KiB at most and
 		// doubles only as bytes arrive, so it stays within a few times
 		// the input, whatever length the header declares. Decoding then
-		// allocates at most 24 bytes (an empty probe chain's slice
-		// header) per payload byte; 64 per input byte leaves room for
-		// both and for size classes, and 1 MiB covers the first chunk
-		// and the fuzzing engine's own allocations during the call.
+		// allocates at most about 14 bytes (a 40-byte node decoded from
+		// 3 payload bytes) per payload byte; 64 per input byte leaves
+		// room for both and for size classes, and 1 MiB covers the first
+		// chunk and the fuzzing engine's own allocations during the call.
 		limit := uint64(1<<20) + 64*uint64(len(data))
 		var m fabric.Msg
 		var err error
@@ -258,15 +255,15 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// TestNodeDeltaRoundTrip pins the batch delta encoding: decode(encode(x))
-// is the identity on a DFS-sorted batch, and the encoding actually
+// TestNodeDeltaRoundTrip pins the chunk delta encoding: decode(encode(x))
+// is the identity on a chunk of wave tasks, and the encoding actually
 // shrinks it — sibling schedules deep in the tree must ship as short
-// tails, since that is the frame-size half of prefix locality.
+// tails.
 func TestNodeDeltaRoundTrip(t *testing.T) {
 	batch := []check.Node{
 		{Schedule: []int{0, 1, 0, 1, 0, 1, 0, 0}, Sleep: 3},
 		{Schedule: []int{0, 1, 0, 1, 0, 1, 0, 1}},
-		{Schedule: []int{0, 1, 0, 1, 0, 1, 1}, Full: true},
+		{Schedule: []int{0, 1, 0, 1, 0, 1, 1}},
 		{Schedule: []int{0, 1, 0, 1, 1}, Sleep: 1},
 		{Schedule: []int{0, 1, 0, -2}},
 		{Schedule: []int{1}},
@@ -292,7 +289,7 @@ func TestNodeDeltaRoundTrip(t *testing.T) {
 	}
 	for i := range batch {
 		a, b := batch[i], back[i]
-		if a.Sleep != b.Sleep || a.Full != b.Full || len(a.Schedule) != len(b.Schedule) {
+		if a.Sleep != b.Sleep || len(a.Schedule) != len(b.Schedule) {
 			t.Fatalf("node %d mangled: %+v -> %+v", i, a, b)
 		}
 		for j := range a.Schedule {

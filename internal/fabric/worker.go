@@ -19,13 +19,12 @@ import (
 //
 // The worker holds no authoritative state between messages: whole-entry
 // jobs run check.Explore on a program built fresh from the registry,
-// and probes replay frontier nodes (or expand wave tasks) through the
-// shard's prober. A prober DOES persist performance state across
-// batches — its live session, reused by longest common prefix, and its
-// advisory dedup cache — but every report stays a pure function of the
-// frames received (a Dup report just says "already told you"), which is
-// what makes coordinator-side requeueing after a worker loss sound: the
-// state dies with the connection and loses nothing.
+// and wave chunks are expanded by the shard's wave prober. A prober DOES
+// persist performance state across chunks — its live session, reused by
+// longest common prefix — but every report stays a pure function of the
+// task it answers, which is what makes coordinator-side requeueing after
+// a worker loss sound: the state dies with the connection and loses
+// nothing.
 func Work(tr Transport, addr string, reg Registry, logw io.Writer) (err error) {
 	logf := func(format string, args ...any) {
 		if logw != nil {
@@ -58,12 +57,8 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) (err error) {
 	}
 	logf("joined %s", addr)
 
-	probers := make(map[int]*check.Prober)
 	waves := make(map[int]*check.WaveProber)
 	defer func() {
-		for _, p := range probers {
-			p.Close()
-		}
 		for _, p := range waves {
 			p.Close()
 		}
@@ -107,10 +102,6 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) (err error) {
 			if m.Job == nil {
 				return fmt.Errorf("fabric: shard-open frame without a job spec")
 			}
-			if old := probers[m.Shard]; old != nil {
-				old.Close()
-				delete(probers, m.Shard)
-			}
 			if old := waves[m.Shard]; old != nil {
 				old.Close()
 				delete(waves, m.Shard)
@@ -122,77 +113,20 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) (err error) {
 				}
 				break
 			}
-			// The options pick the prober kind, mirroring Explore's engine
-			// dispatch: DPOR shards expand wave tasks, everything else
-			// probes frontier nodes.
-			if m.Job.Opts.DPOR {
-				p, err := check.NewWaveProber(build, prop, m.Job.Opts)
-				if err != nil {
-					if werr := WriteFrame(rwc, &Msg{T: MsgError, Shard: m.Shard, Err: err.Error()}); werr != nil {
-						return werr
-					}
-					break
+			p, err := check.NewWaveProber(build, prop, m.Job.Opts)
+			if err != nil {
+				if werr := WriteFrame(rwc, &Msg{T: MsgError, Shard: m.Shard, Err: err.Error()}); werr != nil {
+					return werr
 				}
-				waves[m.Shard] = p
-			} else {
-				p, err := check.NewProber(build, prop, m.Job.Opts)
-				if err != nil {
-					if werr := WriteFrame(rwc, &Msg{T: MsgError, Shard: m.Shard, Err: err.Error()}); werr != nil {
-						return werr
-					}
-					break
-				}
-				probers[m.Shard] = p
+				break
 			}
+			waves[m.Shard] = p
 			logf("shard %d open: %s", m.Shard, m.Job.Name)
 
 		case MsgShardClose:
-			if p := probers[m.Shard]; p != nil {
-				p.Close()
-				delete(probers, m.Shard)
-			}
 			if p := waves[m.Shard]; p != nil {
 				p.Close()
 				delete(waves, m.Shard)
-			}
-
-		case MsgProbe:
-			p := probers[m.Shard]
-			if p == nil {
-				if err := WriteFrame(rwc, &Msg{T: MsgError, ID: m.ID, Err: fmt.Sprintf("probe for unopened shard %d", m.Shard)}); err != nil {
-					return err
-				}
-				break
-			}
-			nodes, err := decodeNodes(m.Nodes)
-			if err != nil {
-				return err
-			}
-			s0 := p.Stats()
-			reports := make([][]Report, 0, len(nodes))
-			var perr error
-			for _, nd := range nodes {
-				chain, err := p.Probe(nd)
-				if err != nil {
-					perr = err
-					break
-				}
-				wire := make([]Report, len(chain))
-				for i, rep := range chain {
-					wire[i] = toWireReport(rep)
-				}
-				reports = append(reports, wire)
-			}
-			if perr != nil {
-				if err := WriteFrame(rwc, &Msg{T: MsgError, ID: m.ID, Err: perr.Error()}); err != nil {
-					return err
-				}
-				break
-			}
-			s1 := p.Stats()
-			if err := WriteFrame(rwc, &Msg{T: MsgProbed, ID: m.ID, Shard: m.Shard, Reports: reports,
-				Replayed: s1.Replayed - s0.Replayed, Saved: s1.Saved - s0.Saved}); err != nil {
-				return err
 			}
 
 		case MsgWave:

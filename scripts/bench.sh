@@ -25,15 +25,10 @@
 # line), a fabric section timing the default n=2 portfolio single-process
 # versus a coordinator plus two local worker processes over loopback TCP
 # (jobs/sec and wall-clock from cfccheck -serve's FABRIC-SUMMARY line,
-# with the outputs diffed for equality first) — plus two sharded legs:
-# a locality leg sharding a deep chain-heavy exploration (-shards 2,
-# mutex/lamport-fast, raw POR) whose events_replayed/events_saved
-# counters must show the prefix-local schedule replaying at least 3x
-# fewer events than the root-replay-per-node baseline (replayed+saved),
-# and a wave leg running the full DPOR portfolio with -shards 2 through
-# the distributed wave engine, both byte-diffed against their
-# single-process runs first — and a sink section
-# measuring the zero-alloc streaming pipeline:
+# with the outputs diffed for equality first) — plus a wave leg running
+# the full DPOR portfolio with -shards 2 through the distributed wave
+# engine, byte-diffed against its single-process run first — and a sink
+# section measuring the zero-alloc streaming pipeline:
 # a SINK_RUNS-run (default one million) single-cell fleet sweep whose
 # per-run observation happens entirely in event sinks, recording
 # runs/sec, events/sec, final heap and peak RSS — the RSS is the bounded
@@ -165,25 +160,6 @@ run_fabric() { # run_fabric <outfile> <flags...> -> outputs diffed vs a single-p
         || { echo "sharded fabric output differs from single-process run ($*)" >&2; exit 1; }
 }
 
-# Locality leg: one deep chain-heavy exploration (mutex/lamport-fast,
-# static POR on the raw spin graph) sharded across both workers. The
-# counters are event counts, so the ratio is hardware-independent:
-# events_saved is replay work the workers' live sessions skipped, and
-# (replayed+saved)/replayed is the win over the root-replay-per-node
-# prober this PR replaced — gated here at the 3x acceptance bar.
-run_fabric "$FABDIR/locality.txt" -n 2 -dpor=false -collapse=false -depth 60 -states $((1 << 21)) -only mutex/lamport-fast -shards 2
-LOCALITY_SUMMARY="$(grep '^FABRIC-SUMMARY ' "$FABDIR/locality.txt")"
-locality_val() {
-    awk -v key="$1" '{
-        for (i = 2; i <= NF; i++) {
-            if (index($i, key "=") == 1) { print substr($i, length(key) + 2); exit }
-        }
-    }' <<< "$LOCALITY_SUMMARY"
-}
-echo "$LOCALITY_SUMMARY"
-awk "BEGIN{ exit !($(locality_val locality_ratio) >= 3.0) }" \
-    || { echo "locality ratio $(locality_val locality_ratio) below the 3x acceptance bar" >&2; exit 1; }
-
 # Wave leg: the full DPOR portfolio with every job split into
 # distributed expansion waves (-shards 2); the diff proves the BSP
 # split is invisible, the summary records how many wave tasks crossed
@@ -235,19 +211,10 @@ go test -run '^$' -bench 'BenchmarkSim' -benchtime "$BENCHTIME" . | tee "$RAW"
     # coordinator plus two local loopback-TCP workers, outputs verified
     # identical before timing. Like every wall-clock ratio in the
     # record, the speedup is only meaningful when multicore is true.
-    printf '  "fabric": {"workers": %s, "shards": %s, "jobs": %s, "probes": %s, "single_ms": %d, "fabric_wall_ms": %s, "jobs_per_s": %s, "speedup": %.2f},\n' \
-        "$(fabric_val workers)" "$(fabric_val shards)" "$(fabric_val jobs)" "$(fabric_val probes)" \
+    printf '  "fabric": {"workers": %s, "shards": %s, "jobs": %s, "single_ms": %d, "fabric_wall_ms": %s, "jobs_per_s": %s, "speedup": %.2f},\n' \
+        "$(fabric_val workers)" "$(fabric_val shards)" "$(fabric_val jobs)" \
         "$FABRIC_SINGLE_MS" "$(fabric_val wall_ms)" "$(fabric_val jobs_per_s)" \
         "$(awk "BEGIN{w=$(fabric_val wall_ms); print (w > 0) ? $FABRIC_SINGLE_MS/w : 0}")"
-    # Locality leg: event-count proof of the prefix-local scheduling win.
-    # baseline_events = events_replayed + events_saved is exactly what the
-    # PR 9 root-replay-per-node prober would have re-executed; the ratio
-    # is hardware-independent and gated at >= 3 above.
-    printf '  "fabric_locality": {"workload": "mutex/lamport-fast", "opts": "por,raw-spins,depth=60", "shards": %s, "workers": %s, "probes": %s, "events_replayed": %s, "events_saved": %s, "baseline_events": %s, "locality_ratio": %s},\n' \
-        "$(locality_val shards)" "$(locality_val workers)" "$(locality_val probes)" \
-        "$(locality_val events_replayed)" "$(locality_val events_saved)" \
-        "$(awk "BEGIN{print $(locality_val events_replayed) + $(locality_val events_saved)}")" \
-        "$(locality_val locality_ratio)"
     # Wave leg: the DPOR portfolio through the distributed wave engine,
     # byte-identical to single-process (diffed before recording).
     printf '  "fabric_waves": {"jobs": %s, "shards": %s, "workers": %s, "wave_tasks": %s, "wall_ms": %s},\n' \

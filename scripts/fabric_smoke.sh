@@ -4,19 +4,25 @@
 # must produce byte-identical portfolio output to a single-process run.
 #
 # Three passes:
-#   1. whole-job sharding  — the default n=2 portfolio (DPOR engines and
+#   1. whole jobs          — the default n=2 portfolio (DPOR engines and
 #      all), fanned out one portfolio entry per job;
-#   2. subtree sharding    — the non-DPOR portfolio (-dpor=false) with
-#      -shards 2, so every job's DFS frontier is split across both
-#      workers and the coordinator arbitrates the visited set;
+#   2. whole jobs, sharded — the non-DPOR portfolio (-dpor=false) with
+#      -shards 2: only DPOR jobs split, so every job still travels whole;
 #   3. wave sharding       — the full portfolio with -shards 2, putting
 #      the DPOR entries on the distributed wave path (pure expansion at
 #      the workers, serial commit at the coordinator).
 #
-# In both passes the comparison strips only the FABRIC-SUMMARY line (it
+# In every pass the comparison strips only the FABRIC-SUMMARY line (it
 # carries wall-clock and worker counts that have no single-process
 # analogue); every verdict row, state/run count and witness schedule must
-# match exactly. Any diff fails the script (set -e).
+# match exactly. Any diff fails the script.
+#
+# Each worker's stderr goes to its own file and each worker is waited
+# for on its own. A worker that logged "fabric: joined" and then exited
+# non-zero fails the script. A worker that never joined (a short pass
+# can end before it dials) is reported, not failed; the OK line prints
+# the workers= count from FABRIC-SUMMARY, so a pass that ran on one
+# worker says so.
 #
 # Usage: scripts/fabric_smoke.sh [port]     # default 34517
 set -euo pipefail
@@ -39,50 +45,51 @@ run_pass() { # run_pass <label> <extra flags...>
     local coord=$!
     # Workers retry the dial for 5s, so racing the coordinator's bind is
     # fine; they exit cleanly when the coordinator says bye.
-    "$BIN/cfccheck" -join "$ADDR" &
-    local w1=$!
-    "$BIN/cfccheck" -join "$ADDR" &
-    local w2=$!
+    local pids=() i status
+    for i in 1 2; do
+        "$BIN/cfccheck" -join "$ADDR" 2> "$BIN/worker$i.err" &
+        pids+=($!)
+    done
     wait "$coord"
-    wait "$w1" "$w2"
+    for i in 1 2; do
+        status=0
+        wait "${pids[i-1]}" || status=$?
+        if grep -q 'fabric: joined' "$BIN/worker$i.err"; then
+            if (( status != 0 )); then
+                echo "FAIL: $label: worker $i joined, then exited with status $status:" >&2
+                cat "$BIN/worker$i.err" >&2
+                exit 1
+            fi
+        else
+            echo "note: $label: worker $i never joined (exit status $status): $(tail -n 1 "$BIN/worker$i.err")"
+        fi
+    done
 
+    local workers
+    workers="$(grep -o 'workers=[0-9]*' "$BIN/fabric.txt" | cut -d= -f2)"
     if ! diff <(grep -v '^FABRIC-SUMMARY' "$BIN/fabric.txt") "$BIN/single.txt"; then
-        echo "FAIL: $label: coordinator+2-worker output differs from single-process run" >&2
+        echo "FAIL: $label: fabric output (workers=$workers) differs from single-process run" >&2
         exit 1
     fi
     grep '^FABRIC-SUMMARY' "$BIN/fabric.txt"
-    echo "OK: $label output identical to single-process run"
+    echo "OK: $label output identical to single-process run (workers=$workers)"
 }
 
 # Pass 1: whole portfolio entries as jobs (includes the DPOR engines).
-run_pass "whole jobs, 2 workers"
+run_pass "whole jobs"
 
-# Pass 2: frontier-subtree sharding. DPOR's wave synchronization is not
-# frontier-shardable, so this pass runs the portfolio with -dpor=false
-# to put every job on the frontier path; sanity greps assert probes
-# actually flowed and that the prefix-local scheduling saved replay
-# events (events_saved counts what root-replay-per-node would have
-# re-executed through the workers' live sessions).
-run_pass "subtree sharding (-shards 2), 2 workers" -dpor=false -shards 2
-PROBES="$(grep -o 'probes=[0-9]*' "$BIN/fabric.txt" | cut -d= -f2)"
-if [[ -z "$PROBES" || "$PROBES" -eq 0 ]]; then
-    echo "FAIL: sharded pass reported probes=$PROBES — subtree sharding never engaged" >&2
-    exit 1
-fi
-SAVED="$(grep -o 'events_saved=[0-9]*' "$BIN/fabric.txt" | cut -d= -f2)"
-if [[ -z "$SAVED" || "$SAVED" -eq 0 ]]; then
-    echo "FAIL: sharded pass reported events_saved=$SAVED — locality scheduling never saved a replay" >&2
-    exit 1
-fi
+# Pass 2: sharding on, but no DPOR job to split: the -dpor=false
+# portfolio (static POR, PORAuto) travels whole under -shards 2.
+run_pass "whole jobs under -shards 2 (-dpor=false)" -dpor=false -shards 2
 
 # Pass 3: wave sharding. The full portfolio (DPOR engines included) with
 # -shards 2 routes DPOR jobs through the distributed wave engine; the
 # byte-diff above proves the BSP split is invisible in the output, and a
 # sanity grep asserts wave tasks actually crossed the wire.
-run_pass "wave sharding (-shards 2, DPOR included), 2 workers" -shards 2
+run_pass "wave sharding (-shards 2, DPOR included)" -shards 2
 WAVES="$(grep -o 'wave_tasks=[0-9]*' "$BIN/fabric.txt" | cut -d= -f2)"
 if [[ -z "$WAVES" || "$WAVES" -eq 0 ]]; then
     echo "FAIL: wave pass reported wave_tasks=$WAVES — DPOR wave distribution never engaged" >&2
     exit 1
 fi
-echo "fabric smoke passed (frontier pass: $PROBES probes, $SAVED events saved; wave pass: $WAVES wave tasks)"
+echo "fabric smoke passed (wave pass: $WAVES wave tasks)"

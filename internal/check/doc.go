@@ -38,7 +38,13 @@
 // branch changes (a collapsed append is a prefix, whose digest is
 // already in the chain); symmetry reduction chains each remapped history
 // through the same chainEntry, so its identity permutation reproduces
-// the plain key exactly.
+// the plain key exactly. The remapped chains are kept alongside the
+// fold, per process and history position under every non-identity
+// permutation, extended lazily when a key is asked for and cut back
+// wherever the fold truncates a history, so a symmetric key costs
+// O(permutations × (cells + processes)) too (symmetry.go). They are the
+// exact digests a walk over every history would chain, so they add no
+// hash assumption.
 //
 // Visited sets store only these 64-bit digests, so every "proved" rests
 // on one assumption: no two distinct states of a job share a digest. By
@@ -109,6 +115,18 @@
 // to two-sided verdict agreement with the unreduced reference on
 // adversarial random programs — where the static heuristic is only held
 // to its documented one-sided contract (never inventing a violation).
+//
+// The race analysis reads only what a step can depend on. Each worker
+// keeps the decoded path of the schedule it last analysed, with its
+// vector clocks and an index: per cell, the ascending positions of the
+// accesses to it, and the positions of the property-visible steps. The
+// opset oracle already says accesses to different cells commute, so a
+// step's clock and races (and those of the compensation ghosts) come
+// from its own list alone; an access the index cannot hold — an
+// operation opset does not know — sends the scan over the whole path.
+// The next task keeps the path, clocks and index up to the first
+// decision where its schedule leaves the last one and decodes only the
+// trace events after it (sim.Session.EventsBefore).
 //
 // Options.Symmetry canonicalises the DPOR visited key under the
 // program's declared pid-permutation group (symmetry.go,

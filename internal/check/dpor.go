@@ -119,6 +119,9 @@ import (
 // safety properties observe their interleaving. The run loop's
 // self-recorded termination mark (KindMark, PhaseDone) consumes no
 // scheduling decision and no property observes it; syncPath skips it.
+// Since only accesses to one cell and visible steps among themselves
+// can be dependent, the clock and race scans walk the worker's index of
+// the path (dscratch.deps) rather than the whole path.
 //
 // # The stateful-DPOR caveat, and the compensation
 //
@@ -189,29 +192,145 @@ type devent struct {
 	vis  bool      // property-visible: phase mark or output
 	acc  opset.Acc // valid for KindAccess
 	seq  int32     // 1-based index among this pid's decisions
+	prev int32     // path index of this pid's previous decision (-1: none)
 	clk  []int32   // vector clock (len = nprocs), aliases dscratch.clkbuf
 }
 
 // dscratch is one worker's path-analysis scratch: the decision entries
-// of the schedule currently being chased, with vector clocks reused
-// across the shared prefix of consecutive tasks.
+// of the schedule last synced, their vector clocks, and an index of
+// them by what a step can depend on. Consecutive tasks share a schedule
+// prefix; syncPath keeps the entries, clocks and index below it and
+// decodes only the rest.
 type dscratch struct {
 	ents     []devent
-	sched    []int
+	sched    []int // the decisions ents[:len(sched)] decode (and the index holds)
 	clkbuf   []int32
 	clkValid int
-	seqs     []int32
+	seqs     []int32 // per pid: its decisions among the held entries
+	last     []int32 // per pid: index of its last held decision (-1: none)
+	// The index: per cell, the ascending indices of the entries that
+	// access it, and the ascending indices of the property-visible
+	// entries.
+	byCell [][]int32
+	vis    []int32
+	// scanAll makes every scan walk the whole path, ignoring the index.
+	// Only tests set it, to hold the index to the unindexed analysis.
+	scanAll  bool
 	races    []int
 	cand     []int
 	ghostClk []int32
 }
 
-func newDScratch(maxDepth, nprocs int) *dscratch {
-	return &dscratch{
+func newDScratch(maxDepth, nprocs, ncells int) *dscratch {
+	sc := &dscratch{
 		ents:     make([]devent, maxDepth+1),
 		clkbuf:   make([]int32, (maxDepth+1)*nprocs),
 		seqs:     make([]int32, nprocs),
+		last:     make([]int32, nprocs),
+		byCell:   make([][]int32, ncells),
 		ghostClk: make([]int32, nprocs),
+	}
+	for i := range sc.last {
+		sc.last[i] = -1
+	}
+	return sc
+}
+
+// push appends decision dec, which executed as trace event ev, to the
+// path and its index. An executed access always has a valid operation
+// on a cell of the program's memory — the memory refuses any other
+// before the event is recorded — so every access has its cell's list.
+func (sc *dscratch) push(dec int, ev *sim.Event) {
+	i := len(sc.sched)
+	pid := ev.PID
+	np := len(sc.seqs)
+	sc.seqs[pid]++
+	d := &sc.ents[i]
+	*d = devent{pid: int32(pid), kind: uint8(ev.Kind), seq: sc.seqs[pid], prev: sc.last[pid], clk: sc.clkbuf[i*np : (i+1)*np]}
+	sc.last[pid] = int32(i)
+	switch ev.Kind {
+	case sim.KindAccess:
+		d.acc = opset.Acc{Op: ev.Op, Cell: ev.Cell, Shift: ev.Shift, Width: ev.Width, Arg: ev.Arg}
+		sc.byCell[ev.Cell] = append(sc.byCell[ev.Cell], int32(i))
+	case sim.KindMark, sim.KindOutput:
+		d.vis = true
+		sc.vis = append(sc.vis, int32(i))
+	}
+	sc.sched = append(sc.sched, dec)
+}
+
+// truncate pops the path back to its first k entries, undoing push in
+// reverse order: each popped entry is the last one of its index list,
+// and restores its pid's sequence number and last decision.
+func (sc *dscratch) truncate(k int) {
+	for len(sc.sched) > k {
+		sc.sched = sc.sched[:len(sc.sched)-1]
+		d := &sc.ents[len(sc.sched)]
+		sc.seqs[d.pid] = d.seq - 1
+		sc.last[d.pid] = d.prev
+		switch {
+		case d.vis:
+			sc.vis = sc.vis[:len(sc.vis)-1]
+		case d.kind == uint8(sim.KindAccess):
+			l := &sc.byCell[d.acc.Cell]
+			*l = (*l)[:len(*l)-1]
+		}
+	}
+	sc.clkValid = min(sc.clkValid, k)
+}
+
+// deps returns the path entries a step g can depend on, besides its own
+// pid's: the ascending indices of the accesses to g's cell, or of the
+// property-visible entries; all is true when the whole path must be
+// scanned instead. Accesses to different cells commute when both
+// operations are valid (opset.Independent), an access and a mark or
+// output are independent, and a crash or a local step depends on no
+// other pid's step (see deventsDependent). A pending step's operation
+// has not been checked against the memory's model yet, so an access
+// whose operation opset does not know, or whose cell is out of range,
+// scans the whole path.
+func (sc *dscratch) deps(g *devent) (list []int32, all bool) {
+	switch {
+	case sc.scanAll:
+		return nil, true
+	case g.kind == uint8(sim.KindAccess):
+		if !g.acc.Op.Valid() || g.acc.Cell < 0 || int(g.acc.Cell) >= len(sc.byCell) {
+			return nil, true
+		}
+		return sc.byCell[g.acc.Cell], false
+	case g.vis:
+		return sc.vis, false
+	}
+	return nil, false
+}
+
+// joinDeps joins into g.clk the clock of every entry before path
+// position end that g depends on, in path order. When races is non-nil,
+// entries that are dependent but NOT ordered before g by the
+// accumulating happens-before closure — the races — are appended to it
+// (the closure shields: once a dependent entry's clock is joined,
+// everything it dominates is ordered).
+func (sc *dscratch) joinDeps(g *devent, end int, races *[]int) {
+	list, all := sc.deps(g)
+	n := len(list)
+	if all {
+		n = end
+	}
+	for x := 0; x < n; x++ {
+		i := x
+		if !all {
+			if i = int(list[x]); i >= end {
+				break
+			}
+		}
+		f := &sc.ents[i]
+		if f.pid == g.pid || !deventsDependent(f, g) {
+			continue
+		}
+		if races != nil && f.seq > g.clk[f.pid] {
+			*races = append(*races, i)
+		}
+		joinClk(g.clk, f.clk)
 	}
 }
 
@@ -306,7 +425,7 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 
 	scs := make([]*dscratch, workers)
 	for i := range scs {
-		scs[i] = newDScratch(maxDepth, nprocs)
+		scs[i] = newDScratch(maxDepth, nprocs, cores[0].mem.NumCells())
 	}
 	// Stage pass: workers pull tasks from a shared index. Order of
 	// processing is irrelevant by design (see the file comment). The
@@ -382,7 +501,7 @@ func (cfg *dconfig) stage(core *replayCore, sc *dscratch, sched []int, nodeSleep
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.syncPath(sc, tr, sched); err != nil {
+	if err := cfg.syncPath(sc, core, tr, sched); err != nil {
 		return nil, err
 	}
 	m := len(sched)
@@ -684,21 +803,20 @@ func nodeSchedule(n *dnode) []int {
 	return out
 }
 
-// syncPath rebuilds the worker's path scratch for the task: the
-// decision entries mapped from the trace's events, and the vector
-// clocks of every entry except the last, reusing clocks over the
-// longest common prefix with the previously chased schedule. The last
-// entry's clock is computed by analyze, which also detects its races.
-func (cfg *dconfig) syncPath(sc *dscratch, tr *sim.Trace, sched []int) error {
+// syncPath brings the worker's path scratch to the task: the decision
+// entries mapped from the trace's events, indexed, and the vector clocks
+// of every entry except the last. It keeps the entries, index and clocks
+// of the longest common prefix with the previously synced schedule and
+// decodes only the events after it — the same events, since the program
+// is deterministic — starting at Session.EventsBefore. The last entry's
+// clock is computed by analyze, which also detects its races.
+func (cfg *dconfig) syncPath(sc *dscratch, core *replayCore, tr *sim.Trace, sched []int) error {
 	m := len(sched)
 	common := 0
 	for common < len(sc.sched) && common < m && sc.sched[common] == sched[common] {
 		common++
 	}
-	sc.sched = append(sc.sched[:0], sched...)
-	if sc.clkValid > common {
-		sc.clkValid = common
-	}
+	sc.truncate(common)
 
 	// Decision entries from the events. Every event consumes one
 	// scheduling decision except the termination mark (KindMark,
@@ -710,71 +828,39 @@ func (cfg *dconfig) syncPath(sc *dscratch, tr *sim.Trace, sched []int) error {
 	// ExpectTermination is a predicate on the terminal state), and the
 	// static provider already treats final accesses as plain accesses —
 	// the termination mark is never a pending step.
-	n := cfg.nprocs
-	for i := range sc.seqs {
-		sc.seqs[i] = 0
-	}
-	idx := 0
-	for _, ev := range tr.Events {
+	for e := core.sess.EventsBefore(common); e < len(tr.Events); e++ {
+		ev := &tr.Events[e]
 		if ev.Kind == sim.KindMark && ev.Phase == sim.PhaseDone {
 			continue
 		}
-		if idx >= m {
-			return fmt.Errorf("check: internal error: %d decision events for schedule of %d", idx+1, m)
+		n := len(sc.sched)
+		if n >= m {
+			return fmt.Errorf("check: internal error: %d decision events for schedule of %d", n+1, m)
 		}
-		d := &sc.ents[idx]
-		*d = devent{pid: int32(ev.PID), kind: uint8(ev.Kind), clk: sc.clkbuf[idx*n : (idx+1)*n]}
-		sc.seqs[ev.PID]++
-		d.seq = sc.seqs[ev.PID]
-		switch ev.Kind {
-		case sim.KindAccess:
-			d.acc = opset.Acc{Op: ev.Op, Cell: ev.Cell, Shift: ev.Shift, Width: ev.Width, Arg: ev.Arg}
-		case sim.KindMark, sim.KindOutput:
-			d.vis = true
-		}
-		idx++
+		sc.push(sched[n], ev)
 	}
-	if idx != m {
-		return fmt.Errorf("check: internal error: %d decision events for schedule of %d", idx, m)
+	if n := len(sc.sched); n != m {
+		return fmt.Errorf("check: internal error: %d decision events for schedule of %d", n, m)
 	}
 	for j := sc.clkValid; j < m-1; j++ {
 		clockOf(sc, j, nil)
 	}
-	if m > 0 {
-		sc.clkValid = m - 1
-	} else {
-		sc.clkValid = 0
-	}
+	sc.clkValid = max(m-1, 0)
 	return nil
 }
 
 // clockOf computes the vector clock of entry j from the fully clocked
 // prefix: the join of the previous own entry's clock and every earlier
 // dependent entry's clock, with its own component bumped to its
-// sequence number. When races is non-nil, entries that are dependent
-// but NOT ordered before j by the accumulating happens-before closure —
-// the races — are appended to it (the closure shields: once a
-// dependent entry's clock is joined, everything it dominates is
-// ordered).
+// sequence number. When races is non-nil, the entries that race with j
+// are appended to it (see joinDeps).
 func clockOf(sc *dscratch, j int, races *[]int) {
 	cur := &sc.ents[j]
 	clear(cur.clk)
-	for i := j - 1; i >= 0; i-- {
-		if sc.ents[i].pid == cur.pid {
-			copy(cur.clk, sc.ents[i].clk)
-			break
-		}
+	if cur.prev >= 0 {
+		copy(cur.clk, sc.ents[cur.prev].clk)
 	}
-	for i := 0; i < j; i++ {
-		f := &sc.ents[i]
-		if f.pid == cur.pid || !deventsDependent(f, cur) {
-			continue
-		}
-		if races != nil && f.seq > cur.clk[f.pid] {
-			*races = append(*races, i)
-		}
-		joinClk(cur.clk, f.clk)
-	}
+	sc.joinDeps(cur, j, races)
 	cur.clk[cur.pid] = cur.seq
 }
 
@@ -913,29 +999,17 @@ func (cfg *dconfig) compensate(core *replayCore, sc *dscratch, m int, live []int
 }
 
 // ghostScan race-checks a hypothetical next step of pid g.pid at path
-// position m against the whole path, buffering backtrack additions for
-// its races into sink.
+// position m (the whole synced path) against the path, buffering
+// backtrack additions for its races into sink.
 func (cfg *dconfig) ghostScan(sc *dscratch, m int, g *devent, sink *[]DepthMask) {
 	g.clk = sc.ghostClk
 	clear(g.clk)
-	for i := m - 1; i >= 0; i-- {
-		if sc.ents[i].pid == g.pid {
-			copy(g.clk, sc.ents[i].clk)
-			break
-		}
+	if i := sc.last[g.pid]; i >= 0 {
+		copy(g.clk, sc.ents[i].clk)
 	}
 	g.seq = g.clk[g.pid] + 1
 	sc.races = sc.races[:0]
-	for i := 0; i < m; i++ {
-		f := &sc.ents[i]
-		if f.pid == g.pid || !deventsDependent(f, g) {
-			continue
-		}
-		if f.seq > g.clk[f.pid] {
-			sc.races = append(sc.races, i)
-		}
-		joinClk(g.clk, f.clk)
-	}
+	sc.joinDeps(g, m, &sc.races)
 	g.clk[g.pid] = g.seq
 	for _, j := range sc.races {
 		cfg.addBacktrack(sc, j, m, g, sink)

@@ -4,20 +4,23 @@ package check
 // replay.go). stateAt folds each trace event once into per-process
 // canonical histories with chain digests, written-bit masks and
 // statuses, and pops them back on a rewind; stateHash and the sibling
-// peek read only that fold. These tests hold it to a from-scratch
-// rebuild of the same state from the whole trace — the loop the checker
-// ran at every node before the fold existed — over random walks with
-// random rewinds, and hold the peek to the key each child computes for
-// itself.
+// peek read only that fold, and canonicalKey reads the permuted chains
+// the core caches alongside it (symmetry.go). These tests hold them to
+// a from-scratch rebuild of the same state from the whole trace — the
+// loops the checker ran at every node before the fold and the cache
+// existed — over random walks with random rewinds, and hold the peek to
+// the key each child computes for itself.
 
 import (
 	"math/rand"
 	"slices"
 	"testing"
 
+	"cfc/internal/contention"
 	"cfc/internal/driver"
 	"cfc/internal/mutex"
 	"cfc/internal/naming"
+	"cfc/internal/opset"
 	"cfc/internal/sim"
 )
 
@@ -32,7 +35,12 @@ type foldProgram struct {
 // foldPrograms covers what the fold has to get right: spins that
 // collapse (ttas, lamport-fast, and peterson, whose two-read wait loop
 // collapses a period of two entries, which a rewind must restore), packed
-// field views (lamport-packed) and crashes (a naming tree).
+// field views (lamport-packed) and crashes (a naming tree, the
+// splitter). Every program that declares symmetry also has its
+// canonical keys checked: ttas, peterson (a pid family and a pid-valued
+// register), the naming tree, tas-lock over the 24 permutations of
+// n = 4, the splitter (a pid-valued register), and pid-probe, whose
+// reads of a pid-valued register the permutations cannot always remap.
 func foldPrograms() []foldProgram {
 	return []foldProgram{
 		{"ttas-lock/n=3", 3, symMutexBuild(mutex.TTASLock{}, 3), false},
@@ -42,6 +50,43 @@ func foldPrograms() []foldProgram {
 		{"taf-tree/n=3+crash", 3, symTaskBuild(naming.TAFTree{}.Model(), 3, func(mem *sim.Memory) (driver.TaskRunner, error) {
 			return naming.TAFTree{}.New(mem, 3)
 		}), true},
+		{"tas-lock/n=4", 4, symMutexBuild(mutex.TASLock{}, 4), false},
+		{"splitter/n=3+crash", 3, symTaskBuild(contention.Splitter{}.Model(), 3, func(mem *sim.Memory) (driver.TaskRunner, error) {
+			return contention.Splitter{}.New(mem, 3)
+		}), true},
+		{"pid-probe/n=3", 3, pidProbeBuild(3), false},
+	}
+}
+
+// pidProbeBuild is a symmetric program whose processes read the
+// pid-valued register x before writing their own id to it or after,
+// depending on what they read in y first. A read before the reader's
+// own write observes a value no write of its own proves, so the state's
+// key falls back to the identity; after the write it remaps — and a
+// rewind that changes what y returns turns one kind of read into the
+// other. No portfolio program reads a pid-valued register before
+// writing it, so this one is what holds canonicalKey's fallback and the
+// own-write masks its cache restores on a cut to the scratch loop.
+func pidProbeBuild(n int) Builder {
+	return func() (*sim.Memory, []sim.ProcFunc, error) {
+		mem := sim.NewMemory(opset.AtomicRegisters)
+		x := mem.Register("x", 2)
+		y := mem.Bit("y")
+		mem.DeclareSymmetric(n)
+		mem.DeclarePidValued(x, sim.PidEncExact)
+		procs := make([]sim.ProcFunc, n)
+		for pid := range procs {
+			procs[pid] = func(p *sim.Proc) {
+				id := uint64(p.ID())
+				if p.Read(y) == 0 {
+					p.Write(x, id)
+				}
+				if p.Read(x) == id {
+					p.Write(y, 1)
+				}
+			}
+		}
+		return mem, procs, nil
 	}
 }
 
@@ -136,6 +181,83 @@ func tailRepeats(h []histEntry, p int) bool {
 	return true
 }
 
+// symDigest is the state digest under pid permutation k, walked from
+// scratch the way canonicalKey computed it before the permuted chain
+// cache: the permuted cell values, then every history in permuted slot
+// order, each entry remapped by remapHistEntry and chained, then the
+// permuted sleep mask. It reads the state the preceding stateAt folded.
+// ok is false when some recorded access cannot be remapped.
+func (c *replayCore) symDigest(sy *symCanon, k int, sleep uint64) (uint64, bool) {
+	perm, inv := sy.perms[k], sy.invs[k]
+	h := uint64(hashSeed)
+	for _, v := range sy.spec.RemapCells(nil, c.vals, c.wmask, perm) {
+		h = mix64(h, v)
+	}
+	own := make([]uint64, len(c.vals))
+	for q := range c.hist {
+		hh := c.hist[inv[q]] // slot q of the permuted run is old pid inv[q]
+		clear(own)
+		var d uint64
+		for _, en := range hh {
+			ren, ok := remapHistEntry(sy.spec, perm, en, own)
+			if !ok {
+				return 0, false
+			}
+			d = chainEntry(d, ren.shape(), ren.ret, ren.aux)
+		}
+		h = mixHist(h, len(hh), d)
+	}
+	return mix64(h, remapPidMask(sleep, perm)), true
+}
+
+// remapHistEntry rewrites one history entry under perm, accumulating the
+// process's own writes in own: access entries relocate/rewrite through
+// their view descriptor; marks, outputs and crashes pass through.
+func remapHistEntry(spec *sim.SymSpec, perm []int, en histEntry, own []uint64) (histEntry, bool) {
+	if en.kind != uint8(sim.KindAccess) {
+		return en, true
+	}
+	d := spec.ResolveView(en.cell, en.shift, en.width)
+	if d.Opaque() {
+		return histEntry{}, false
+	}
+	op := opset.Op(en.op)
+	if op.ReturnsValue() {
+		var ok bool
+		en.ret, ok = spec.RemapValueChecked(d, en.shift, en.ret, own[en.cell], perm)
+		if !ok {
+			return histEntry{}, false
+		}
+	}
+	if op == opset.WriteWord {
+		en.aux = spec.RemapValue(d, en.shift, en.aux, perm)
+	}
+	if op.IsBitOp() && spec.RemapValue(d, en.shift, 1, perm) != 1 {
+		en.op = uint8(op.Dual())
+	}
+	if op.Mutates() {
+		own[en.cell] |= viewMask(en.shift, en.width)
+	}
+	en.cell, en.shift = spec.RemapLoc(d, en.cell, en.shift, perm)
+	return en, true
+}
+
+// scratchCanonicalKey is canonicalKey from scratch: the minimum of
+// symDigest over the group, or the identity key if some permutation
+// cannot remap the state.
+func scratchCanonicalKey(c *replayCore, sy *symCanon, sleep uint64) uint64 {
+	id := mix64(c.stateHash(), sleep)
+	best := id
+	for k := 1; k < len(sy.perms); k++ {
+		d, ok := c.symDigest(sy, k, sleep)
+		if !ok {
+			return id
+		}
+		best = min(best, d)
+	}
+	return best
+}
+
 // checkFold fails unless the core's fold equals the from-scratch rebuild
 // of the trace stateAt returned.
 func checkFold(t testing.TB, c *replayCore, tr *sim.Trace, sched []int) {
@@ -171,7 +293,9 @@ func checkFold(t testing.TB, c *replayCore, tr *sim.Trace, sched []int) {
 const foldWalkMaxLen = 48
 
 // foldWalk decodes moves into a walk of stateAt over prog and checks the
-// fold against the scratch rebuild after every call. Each byte is one
+// fold against the scratch rebuild after every call, and, for a program
+// that declares symmetry, the cached canonical key (under a sleep mask
+// taken from the move) against scratchCanonicalKey. Each byte is one
 // move: b%16 == 0 rewinds to a prefix of length (b/16) mod (len+1);
 // b%16 == 1 jumps back to an earlier position of the walk, as a
 // work-stealing worker does; b%16 == 2 crashes the live process b/16
@@ -185,6 +309,17 @@ func foldWalk(t testing.TB, prog foldProgram, collapse bool, moves []byte) {
 		t.Fatal(err)
 	}
 	defer c.close()
+	sy := newSymCanon(c.mem, prog.n)
+	checkKey := func(sched []int, sleep uint64) {
+		t.Helper()
+		if sy == nil {
+			return
+		}
+		sleep &= 1<<uint(prog.n) - 1
+		if got, want := c.canonicalKey(sy, c.stateHash(), sleep), scratchCanonicalKey(&c, sy, sleep); got != want {
+			t.Fatalf("at %v sleep %#x: canonicalKey %#x, scratch %#x", sched, sleep, got, want)
+		}
+	}
 	var sched []int
 	var seen [][]int
 	tr, live, err := c.stateAt(sched)
@@ -192,6 +327,7 @@ func foldWalk(t testing.TB, prog foldProgram, collapse bool, moves []byte) {
 		t.Fatal(err)
 	}
 	checkFold(t, &c, tr, sched)
+	checkKey(sched, 0)
 	for _, b := range moves {
 		arg := int(b / 16)
 		switch {
@@ -214,6 +350,7 @@ func foldWalk(t testing.TB, prog foldProgram, collapse bool, moves []byte) {
 			t.Fatalf("at %v: %v", sched, err)
 		}
 		checkFold(t, &c, tr, sched)
+		checkKey(sched, uint64(b))
 		if len(seen) < 64 {
 			seen = append(seen, slices.Clone(sched))
 		}
@@ -224,7 +361,8 @@ func foldWalk(t testing.TB, prog foldProgram, collapse bool, moves []byte) {
 // collapse — random extensions, crashes, rewinds and jumps — and
 // requires the folded histories, chain digests, written masks, statuses,
 // cell values and stateHash to equal a from-scratch rebuild after every
-// stateAt.
+// stateAt, and the cached canonical key of every symmetric program to
+// equal the from-scratch loop over its permutations.
 func TestFoldMatchesScratch(t *testing.T) {
 	seed := int64(0)
 	for _, prog := range foldPrograms() {

@@ -47,14 +47,13 @@ type replayCore struct {
 	undo   []foldUndo
 	vals   []uint64
 
-	// Symmetry-reduction scratch (see symmetry.go): permuted cell
-	// values, the per-view permutation-behaviour cache, and symOwnW, the
-	// bits one process wrote up to the history entry being remapped.
-	// wmask and symOwnW gate exact pid-encoding remaps, which cannot
-	// distinguish an untouched register from a written pid 0 by value.
+	// Symmetry-reduction state (see symmetry.go): permuted cell values,
+	// the per-view permutation-behaviour cache, and the permuted chain
+	// cache, whose cached prefixes the fold cuts back wherever it
+	// truncates a history.
 	symVals  []uint64
 	symDescs map[uint32]sim.ViewDesc
-	symOwnW  []uint64
+	sym      symCache
 }
 
 // init builds the core's private program instance. collapse selects
@@ -240,6 +239,7 @@ func (c *replayCore) fold(ev *sim.Event) {
 		// Another iteration of a busy-wait period: the canonical history
 		// falls back to its prefix of length n, whose chain digests are
 		// already there.
+		c.sym.cut(h, pid, n)
 		c.hist[pid], c.chain[pid] = h[:n], c.chain[pid][:n]
 		return
 	}
@@ -258,6 +258,7 @@ func (c *replayCore) unfold(keep int) {
 			c.wmask[u.cell] = u.wmask
 		}
 		n := len(c.hist[pid])
+		c.sym.cut(c.hist[pid], pid, min(n, plen))
 		h, ch := c.hist[pid][:plen], c.chain[pid][:plen]
 		c.hist[pid], c.chain[pid] = h, ch
 		if n > plen {
@@ -309,10 +310,10 @@ func (en histEntry) shape() uint64 {
 // chainEntry extends a history's chain digest d by one entry, given as
 // its words: chainEntry(d, en.shape(), en.ret, en.aux). The words are
 // passed apart so that the step is small enough to inline into
-// symDigest's per-entry loop. The empty history's chain digest is 0, so
-// a history's digest is a pure function of its entries, whichever
-// process holds it — which is what lets symDigest chain a remapped
-// history into another process's slot.
+// symExtend's per-permutation loop. The empty history's chain digest is
+// 0, so a history's digest is a pure function of its entries, whichever
+// process holds it — which is what lets canonicalKey mix a remapped
+// history's chain into another process's slot.
 func chainEntry(d, shape, ret, aux uint64) uint64 {
 	return mix64(mix64(mix64(d, shape), ret), aux)
 }
@@ -327,7 +328,7 @@ func (c *replayCore) histDigest(pid int) uint64 {
 
 // mixHist is the state digest's per-process step: the history's length
 // (collapse-aware) and chain digest, mixed in pid order after the cell
-// values. stateHash, peekKey and symDigest all combine through it.
+// values. stateHash, peekKey and canonicalKey all combine through it.
 func mixHist(h uint64, n int, d uint64) uint64 {
 	return mix64(mix64(h, uint64(n)<<32|0xabcd), d)
 }

@@ -253,7 +253,7 @@ func NewWaveProber(build Builder, prop Property, opts Options) (*WaveProber, err
 		nprocs:   nprocs,
 		sym:      sym,
 	}
-	p.sc = newDScratch(maxDepth, nprocs)
+	p.sc = newDScratch(maxDepth, nprocs, p.core.mem.NumCells())
 	return p, nil
 }
 
@@ -268,7 +268,8 @@ func (p *WaveProber) Stats() ProbeStats { return p.stats }
 // dpor.go's pure per-task work, with panics contained as errors like
 // everywhere else in the checker. Consecutive tasks share their
 // longest common schedule prefix through the live session, the fast
-// path the serial DFS rides.
+// path the serial DFS rides, and through the path analysis syncPath
+// keeps.
 func (p *WaveProber) ProbeWave(nd Node) (rep WaveReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -31,11 +31,12 @@ type Listener interface {
 // TCP is the deployment transport: plain TCP connections.
 type TCP struct{}
 
-// Dial implements Transport.
+// Dial implements Transport. The error is net's, which names the
+// operation and the address.
 func (TCP) Dial(addr string) (io.ReadWriteCloser, error) {
 	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	return c, nil
 }

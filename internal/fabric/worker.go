@@ -12,6 +12,9 @@ import (
 	"cfc/internal/check"
 )
 
+// dialBackoff is the pause between Work's dial attempts.
+var dialBackoff = 100 * time.Millisecond
+
 // Work connects to the coordinator at addr and serves jobs until the
 // coordinator says bye or the connection closes. The registry must
 // resolve the same names to the same programs as the coordinator's —
@@ -33,7 +36,8 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) (err error) {
 	}
 	// The coordinator may still be binding when the worker starts (the
 	// smoke script launches all three processes at once), so dialing
-	// retries briefly before giving up.
+	// retries briefly before giving up. The transport's error already
+	// names the address.
 	var rwc io.ReadWriteCloser
 	for attempt := 0; ; attempt++ {
 		rwc, err = tr.Dial(addr)
@@ -41,9 +45,9 @@ func Work(tr Transport, addr string, reg Registry, logw io.Writer) (err error) {
 			break
 		}
 		if attempt >= 50 {
-			return fmt.Errorf("fabric: dial %s: %w", addr, err)
+			return err
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(dialBackoff)
 	}
 	defer rwc.Close()
 	defer func() {

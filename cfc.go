@@ -18,8 +18,9 @@
 //     naming algorithms of Theorem 4;
 //   - the closed-form bounds of Theorems 1-7 as checkable functions;
 //   - executable adversaries for the lower-bound constructions and an
-//     exhaustive model checker for small configurations, serial or
-//     parallel (CheckOptions.Workers) with identical results.
+//     exhaustive model checker for small configurations, deterministic
+//     at any CheckOptions.Workers (the goroutines of the DPOR engine's
+//     stage pass; the other engines explore on the caller's goroutine).
 //
 // # Quick start
 //
@@ -403,8 +404,11 @@ type (
 	Violation    = check.Violation
 )
 
-// Explore exhaustively explores the interleavings of a small program,
-// serially or on CheckOptions.Workers parallel workers; see check.Explore.
+// Explore exhaustively explores the interleavings of a small program; see
+// check.Explore. CheckOptions.Workers sets the goroutines of the DPOR
+// engine's stage pass, and every other engine explores on the calling
+// goroutine. To use several cores on those, call Explore for several
+// programs at once.
 func Explore(build Builder, prop func(*Trace) error, opts CheckOptions) (CheckResult, error) {
 	return check.Explore(build, prop, opts)
 }

@@ -40,8 +40,9 @@ func ExampleRun() {
 // ExampleExplore model-checks a tiny program exhaustively: two processes
 // each perform a single write, so there are exactly two maximal
 // interleavings and three non-terminal states (the initial state and one
-// per first writer). Workers: 2 runs the parallel explorer; completed
-// explorations report identical results at any worker count.
+// per first writer). This is the unreduced reference engine, which
+// explores on the calling goroutine and ignores Workers; only the DPOR
+// engine's stage pass uses it, with identical results at any count.
 func ExampleExplore() {
 	build := func() (*cfc.Memory, []cfc.ProcFunc, error) {
 		mem := cfc.NewMemory(cfc.AtomicRegisters)

@@ -9,22 +9,24 @@ import (
 // Property is a safety predicate over a (partial) run: it must return an
 // error if any state of the trace violates the property. The metrics
 // package's CheckMutualExclusion, CheckUniqueOutputs and CheckDetection
-// are Properties. In parallel explorations the property is called
-// concurrently from worker goroutines (each on its own trace), so it must
-// not keep mutable state between calls — a pure function of the trace,
-// which all three metrics properties are.
+// are Properties. DPOR's stage pass (Options.Workers > 1) and callers
+// that explore several jobs at once call it concurrently from several
+// goroutines, each on its own trace, so it must not keep mutable state
+// between calls — a pure function of the trace, which all three metrics
+// properties are.
 type Property func(t *sim.Trace) error
 
 // Builder constructs the memory and process bodies of the program under
 // check. It must be deterministic: every call must produce an identical
 // program. The serial explorer calls it once and replays that one program
-// for every schedule; the parallel explorer calls it once per worker, so
-// each worker replays a private instance (plus once more to canonicalise
-// a counterexample, see Options.Workers). Builder calls are never
-// concurrent, but distinct instances are driven concurrently, so
-// instances must not share mutable state through package-level variables
-// — which holds for every algorithm body in this repository, all of which
-// are pure functions of the values their shared-memory operations return.
+// for every schedule; the DPOR engine calls it once per stage-pass
+// worker (Options.Workers), so each worker replays a private instance.
+// One exploration never calls it concurrently, but distinct instances are
+// driven concurrently — by the stage pass, and by callers that explore
+// several jobs at once — so instances must not share mutable state
+// through package-level variables. That holds for every algorithm body
+// in this repository, all of which are pure functions of the values
+// their shared-memory operations return.
 type Builder func() (*sim.Memory, []sim.ProcFunc, error)
 
 // Options configures an exploration.
@@ -51,9 +53,9 @@ type Options struct {
 	// has since moved past the spin. This turns the unbounded spin
 	// chains of deadlock-free mutex algorithms into finitely many
 	// states, and because the reduction is applied online (it commutes
-	// with extending the history by one event), state identity is a pure
-	// function of the program: serial and parallel exploration prune
-	// identically.
+	// with extending the history by one event), the state a schedule
+	// reaches does not depend on the order in which states are
+	// discovered.
 	//
 	// The reduction is sound only for algorithms whose busy-wait loops
 	// carry no loop-local state (no iteration counters, no accumulated
@@ -83,7 +85,7 @@ type Options struct {
 	// unit of work the reduced search actually performs — and Runs counts
 	// the maximal schedules of the reduced tree, so both are expected to
 	// be (much) smaller than the reference exploration's; they remain
-	// deterministic and identical between serial and parallel explorers.
+	// deterministic.
 	// Reduction requires at most 64 processes (sleep sets are pid
 	// bitmasks); wider programs silently fall back to the full provider.
 	POR bool
@@ -134,23 +136,15 @@ type Options struct {
 	// (deterministic) reduced exploration, so PORAuto verdicts and counts
 	// are reproducible.
 	PORAuto bool
-	// Workers selects the explorer. 0 or 1 (the default) explores
-	// serially on the calling goroutine. A value above 1 runs that many
-	// workers, each owning a private program instance (one Builder call)
-	// and live session; subtree frontiers are distributed over per-worker
-	// deques with work stealing, and the visited set is shared (sharded).
-	//
-	// Results are deterministic and identical to serial exploration
-	// whenever the exploration is not truncated: the visited-state set is
-	// closed under the same transition relation regardless of visit
-	// order, so States, Runs, Truncated and the verdict all match. A
-	// truncated exploration (depth or state budget hit) depends on visit
-	// order in either mode and parallel counts may differ from serial
-	// ones. When a violation is found, the parallel explorer cancels its
-	// workers and re-runs the serial explorer, so the reported
-	// counterexample is always the canonical depth-first-minimal one —
-	// byte-identical to what Workers=1 reports (violating explorations
-	// therefore cost one parallel detection plus one serial rerun).
+	// Workers is the number of goroutines in DPOR's stage pass, each
+	// owning a private program instance (one Builder call) and live
+	// session; 0 or 1 (the default) stages every task on the calling
+	// goroutine. The stage pass is pure and the serial commit pass makes
+	// every order-sensitive decision, so results — truncated and
+	// violating explorations included — are bit-identical at any value.
+	// Every other engine explores on the calling goroutine and ignores
+	// Workers; to use several cores on them, explore several jobs at once
+	// (as cmd/cfccheck -workers does).
 	Workers int
 }
 
@@ -196,8 +190,9 @@ type Result struct {
 
 // Explore exhaustively explores the interleavings of the program under
 // the property. It returns an error only for configuration problems; a
-// property failure is reported in Result.Violation. Options.Workers
-// selects between the serial and the parallel explorer.
+// property failure is reported in Result.Violation. Options.DPOR selects
+// the wave engine (dpor.go); every other exploration is the serial
+// depth-first search on the calling goroutine.
 func Explore(build Builder, prop Property, opts Options) (Result, error) {
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
@@ -213,13 +208,6 @@ func Explore(build Builder, prop Property, opts Options) (Result, error) {
 	if opts.POR && opts.PORAuto {
 		return exploreAuto(build, prop, opts, maxDepth, maxStates)
 	}
-	return exploreDispatch(build, prop, opts, maxDepth, maxStates)
-}
-
-func exploreDispatch(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
-	if opts.Workers > 1 {
-		return exploreParallel(build, prop, opts, maxDepth, maxStates)
-	}
 	return exploreSerial(build, prop, opts, maxDepth, maxStates)
 }
 
@@ -229,7 +217,7 @@ func exploreDispatch(build Builder, prop Property, opts Options, maxDepth, maxSt
 // when it found a violation (marked PORDisabled). The fabric ships
 // PORAuto jobs whole, so this is the decision's only copy.
 func exploreAuto(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
-	por, err := exploreDispatch(build, prop, opts, maxDepth, maxStates)
+	por, err := exploreSerial(build, prop, opts, maxDepth, maxStates)
 	if err != nil {
 		return Result{}, err
 	}
@@ -241,7 +229,7 @@ func exploreAuto(build Builder, prop Property, opts Options, maxDepth, maxStates
 	}
 	ref := opts
 	ref.POR, ref.PORAuto = false, false
-	full, err := exploreDispatch(build, prop, ref, maxDepth, maxStates)
+	full, err := exploreSerial(build, prop, ref, maxDepth, maxStates)
 	if err != nil {
 		return Result{}, err
 	}
@@ -266,8 +254,8 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 	}
 	e.provider, e.por = newProvider(opts, len(e.core.procs))
 	// A panic in an algorithm body, property or provider surfaces as a
-	// checker error carrying the schedule prefix being expanded, mirroring
-	// the parallel explorer's containment (see parexplorer.chase).
+	// checker error carrying the schedule prefix being expanded, as in
+	// DPOR's stage pass (dexplorer.runStage).
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -390,9 +378,9 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	// (dfs returns before marking), so the peek can only skip children
 	// dfs would prune anyway; the depth guard keeps the boundary case
 	// (child at maxDepth must report Truncated) on the replay path.
-	// Serial non-POR explorer only: under POR the key mixes in the
-	// child's normalised sleep set, which is not known until the child's
-	// own pending steps are.
+	// Non-POR explorations only: under POR the key mixes in the child's
+	// normalised sleep set, which is not known until the child's own
+	// pending steps are.
 	var skip []bool
 	if !e.por && len(schedule)+1 < e.maxDepth {
 		pend := e.core.pendingOps()

@@ -63,7 +63,6 @@ func TestExhaustiveMutualExclusionTwoProcs(t *testing.T) {
 			res, err := check.Explore(mutexBuilder(alg, 2, 1), metrics.CheckMutualExclusion, check.Options{
 				MaxDepth:      120,
 				CollapseSpins: true,
-				Workers:       exploreWorkers(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -95,7 +94,6 @@ func TestExhaustiveMutualExclusionThreeProcs(t *testing.T) {
 				MaxDepth:      80,
 				MaxStates:     1 << 16,
 				CollapseSpins: true,
-				Workers:       exploreWorkers(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -177,7 +175,7 @@ func TestExhaustiveDetectionSafety(t *testing.T) {
 				prop := func(tr *sim.Trace) error {
 					return metrics.CheckDetection(tr, false)
 				}
-				res, err := check.Explore(build, prop, check.Options{MaxDepth: 80, CollapseSpins: true, Workers: exploreWorkers()})
+				res, err := check.Explore(build, prop, check.Options{MaxDepth: 80, CollapseSpins: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +209,6 @@ func TestExhaustiveNamingUniquenessWithCrashes(t *testing.T) {
 					ExploreCrashes:    true,
 					ExpectTermination: true,
 					CollapseSpins:     true,
-					Workers:           exploreWorkers(),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -244,7 +241,6 @@ func TestExhaustiveNamingFourProcs(t *testing.T) {
 				MaxDepth:      120,
 				MaxStates:     1 << 20,
 				CollapseSpins: true,
-				Workers:       exploreWorkers(),
 			})
 			if err != nil {
 				t.Fatal(err)

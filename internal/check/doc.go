@@ -83,8 +83,7 @@
 // process's pending step commutes with every other live process's
 // pending step (and clears two dynamic footprint guards plus a cycle
 // proviso tied to the spin collapse), the node branches on that single
-// step; sleep sets then remove the remaining permutational duplicates,
-// travelling with stolen frontier nodes in the parallel explorer.
+// step; sleep sets then remove the remaining permutational duplicates.
 // Crash branches are never pruned.
 //
 // Reduced state counts are NOT comparable to -por=false counts: the
@@ -138,8 +137,8 @@
 // (lamport-fast, lamport-packed) fall under the scalarset restriction
 // and must not declare.
 //
-// The DPOR engine is wave-synchronised rather than work-stealing: each
-// tree level is expanded by a parallel pass of pure per-node work, then
+// The DPOR engine is wave-synchronised: each tree level is expanded by
+// a pass of pure per-node work on Options.Workers goroutines, then
 // a serial commit pass makes every order-sensitive decision (visited
 // arbitration, counters, backtrack joins, violation selection) in
 // deterministic task order. Results — including truncated ones and
@@ -153,18 +152,17 @@
 // engines are not split; the fabric ships each one whole to a worker,
 // which runs Explore unchanged.
 //
-// # Serial and parallel exploration
+// # Where exploration runs
 //
-// Options.Workers selects between two explorers over the same replay
-// core. The serial explorer (Workers <= 1) is a recursive depth-first
-// search on the calling goroutine. The parallel explorer runs a pool of
-// workers, each with a private program instance (one Builder call each)
-// and live session; subtree frontiers are distributed over per-worker
-// deques with work stealing, the visited set is sharded, and every
-// reachable state's subtree is expanded by exactly one worker. Completed
-// (non-truncated) explorations report identical States, Runs and
-// verdicts in both modes, and counterexamples are canonicalised to the
-// serial depth-first-first witness; see Options.Workers and the
-// commentary in parallel.go for why visit order cannot change the
-// result.
+// Two explorers share the replay core. The reference and static-POR
+// explorations are a recursive depth-first search on the calling
+// goroutine. The DPOR engine runs its stage pass on Options.Workers
+// goroutines, each with a private program instance (one Builder call
+// each) and live session, and its commit pass on the calling goroutine;
+// only the commit pass touches the visited set. Both are deterministic:
+// the same options give the same Result, truncated or violating
+// explorations included, at any Workers count. To spread explorations
+// with the other engines over cores, explore several of them at once —
+// cmd/cfccheck -workers runs that many portfolio jobs side by side and
+// prints their rows in job order.
 package check

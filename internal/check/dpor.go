@@ -355,7 +355,7 @@ type dexplorer struct {
 	maxStates int
 	crashes   bool
 
-	visited   *shardedSet
+	visited   map[uint64]struct{} // inserted only by commitStage
 	runs      int
 	reduced   int
 	truncated bool
@@ -381,7 +381,7 @@ func newDExplorer(prop Property, opts Options, maxDepth, maxStates, nprocs int, 
 		},
 		maxStates: maxStates,
 		crashes:   opts.ExploreCrashes,
-		visited:   newShardedSet(),
+		visited:   make(map[uint64]struct{}),
 		wave:      []dtask{{node: &dnode{entry: -1 << 20}, sched: []int{}}},
 	}
 }
@@ -415,7 +415,7 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 	if nprocs > 64 {
 		fb := opts
 		fb.DPOR = false
-		return exploreDispatch(build, prop, fb, maxDepth, maxStates)
+		return exploreSerial(build, prop, fb, maxDepth, maxStates)
 	}
 	var sym *symCanon
 	if opts.Symmetry {
@@ -470,7 +470,7 @@ func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates
 }
 
 // runStage computes one task's stage in-process, containing panics as
-// checker errors like both explorers do.
+// checker errors like the serial DFS does.
 func (e *dexplorer) runStage(id int, core *replayCore, sc *dscratch, st *dstage) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -612,7 +612,7 @@ func (e *dexplorer) advance(stages []dstage) {
 // result summarises the exploration.
 func (e *dexplorer) result() Result {
 	return Result{
-		States:          e.visited.Len(),
+		States:          len(e.visited),
 		Runs:            e.runs,
 		Truncated:       e.truncated,
 		ReducedNodes:    e.reduced,
@@ -646,19 +646,21 @@ func (e *dexplorer) commitStage(st *dstage, next *[]dtask) {
 		e.childDone(node.parent, next)
 		return
 	}
-	added, full := e.visited.insert(st.rep.Key, e.maxStates)
-	if full {
-		e.truncated = true
-		e.childDone(node.parent, next)
-		return
-	}
-	if !added {
+	// Seen, then budget, as in the serial DFS: a revisit is pruned (and
+	// compensated) even when the budget is exhausted.
+	if _, seen := e.visited[st.rep.Key]; seen {
 		for _, dm := range st.rep.Comp {
 			registerMask(ancestorAt(node, dm.Depth), dm.Mask)
 		}
 		e.childDone(node.parent, next)
 		return
 	}
+	if len(e.visited) >= e.maxStates {
+		e.truncated = true
+		e.childDone(node.parent, next)
+		return
+	}
+	e.visited[st.rep.Key] = struct{}{}
 	node.pend = append(node.pend[:0], st.rep.Pend...)
 	node.live = st.rep.Live
 	node.accum = st.rep.Sleep
@@ -790,6 +792,35 @@ func (e *dexplorer) settle(n *dnode, next *[]dtask) {
 		}
 		n = p
 	}
+}
+
+// childSchedule returns a fresh copy of schedule extended by entry.
+func childSchedule(schedule []int, entry int) []int {
+	c := make([]int, len(schedule)+1)
+	copy(c, schedule)
+	c[len(schedule)] = entry
+	return c
+}
+
+// dfsLess orders schedules by serial depth-first visit order: prefixes
+// first, then by the first differing entry with steps (ascending pid)
+// before crashes (ascending pid). The commit pass reports the least
+// violating schedule of a wave under this order.
+func dfsLess(a, b []int) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return entryKey(a[i]) < entryKey(b[i])
+		}
+	}
+	return len(a) < len(b)
+}
+
+// entryKey maps a schedule entry to its branch rank at a node.
+func entryKey(e int) int {
+	if e >= 0 {
+		return e
+	}
+	return 1<<30 + (-e - 1)
 }
 
 // nodeSchedule reconstructs the schedule reaching n by walking the

@@ -10,15 +10,16 @@ package check_test
 //     agree on every verdict (witnesses replaying for the broken
 //     designs), and DPOR must never visit more states than the
 //     reference;
-//   - serial/parallel equivalence: completed DPOR explorations are
-//     bit-identical at any worker count (backtrack and sleep state
-//     travels with stolen frontier tasks);
+//   - stage-pass equivalence: DPOR explorations are bit-identical at
+//     any Workers count (the stage pass is pure, the commit pass
+//     serial);
 //   - the tas/ttas regression gate of PR 7: with sleep sets normalised
 //     into the visited key, the reduced explorations stay at or below
 //     the reference state count at n = 2 and 3 — the configurations the
 //     PR 6 PORAuto heuristic used to give up on.
 
 import (
+	"fmt"
 	"testing"
 
 	"cfc/internal/check"
@@ -169,10 +170,10 @@ func TestDPORAgreesWithReferencePortfolio(t *testing.T) {
 	}
 }
 
-// TestDPORParallelMatchesSerialPortfolio: completed DPOR explorations
-// must be bit-identical between one worker and any worker count —
-// backtrack sets, sleep sets, and join batches are pure functions of
-// completed subtrees, so work stealing cannot change the closure.
+// TestDPORParallelMatchesSerialPortfolio: DPOR explorations must be
+// bit-identical between one stage-pass worker and several — the stage
+// pass is a pure function of each task, and the serial commit pass
+// decides backtrack sets, sleep sets and join batches in task order.
 func TestDPORParallelMatchesSerialPortfolio(t *testing.T) {
 	workerCounts := []int{2, 4}
 	if testing.Short() {
@@ -197,7 +198,7 @@ func TestDPORParallelMatchesSerialPortfolio(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameResult(t, serial, parallel, w)
+				assertSameResult(t, serial, parallel, fmt.Sprintf("workers=%d", w))
 			}
 		})
 	}

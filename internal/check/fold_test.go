@@ -297,12 +297,13 @@ const foldWalkMaxLen = 48
 // that declares symmetry, the cached canonical key (under a sleep mask
 // taken from the move) against scratchCanonicalKey. Each byte is one
 // move: b%16 == 0 rewinds to a prefix of length (b/16) mod (len+1);
-// b%16 == 1 jumps back to an earlier position of the walk, as a
-// work-stealing worker does; b%16 == 2 crashes the live process b/16
-// picks (when the program explores crashes and it has not crashed);
-// b%16 in [3, 10) steps the process the last step did, if it is still
-// live, so that one process spins through whole busy-wait periods and
-// collapses them; anything else steps the live process b/16 picks.
+// b%16 == 1 jumps back to an earlier position of the walk, as a stage
+// worker moving to another wave task does; b%16 == 2 crashes the live
+// process b/16 picks (when the program explores crashes and it has not
+// crashed); b%16 in [3, 10) steps the process the last step did, if it
+// is still live, so that one process spins through whole busy-wait
+// periods and collapses them; anything else steps the live process b/16
+// picks.
 func foldWalk(t testing.TB, prog foldProgram, collapse bool, moves []byte) {
 	var c replayCore
 	if err := c.init(prog.build, 200, collapse); err != nil {

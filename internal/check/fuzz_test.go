@@ -326,7 +326,7 @@ func runDPORDifferential(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("dpor+sym workers=4: %v\nprogram: %s", err, fp)
 	}
-	assertSameResult(t, symRes, par, 4)
+	assertSameResult(t, symRes, par, "dpor+sym workers=4")
 }
 
 // TestDPORDifferentialSeeded runs the differential harness over a fixed

@@ -19,8 +19,8 @@ func nilProp(*sim.Trace) error { return nil }
 
 // TestExplorerContainsBodyPanic explores a program whose body panics on
 // a reachable interleaving (pid 1 observes pid 0's write) and requires
-// Explore to return an error naming the schedule prefix — on both the
-// serial and the parallel explorer.
+// Explore to return an error naming the schedule prefix — in the serial
+// DFS and in DPOR's stage pass, on one stage goroutine and on several.
 func TestExplorerContainsBodyPanic(t *testing.T) {
 	build := func() (*sim.Memory, []sim.ProcFunc, error) {
 		mem := sim.NewMemory(opset.AtomicRegisters)
@@ -35,13 +35,17 @@ func TestExplorerContainsBodyPanic(t *testing.T) {
 		}
 		return mem, procs, nil
 	}
-	for _, workers := range []int{1, 4} {
-		_, err := check.Explore(build, nilProp, check.Options{MaxDepth: 16, Workers: workers})
+	for _, opts := range []check.Options{
+		{MaxDepth: 16},
+		{MaxDepth: 16, DPOR: true, Workers: 1},
+		{MaxDepth: 16, DPOR: true, Workers: 4},
+	} {
+		_, err := check.Explore(build, nilProp, opts)
 		if err == nil {
-			t.Fatalf("workers=%d: Explore should report the body panic as an error", workers)
+			t.Fatalf("dpor=%v workers=%d: Explore should report the body panic as an error", opts.DPOR, opts.Workers)
 		}
 		if !strings.Contains(err.Error(), "panicked expanding schedule prefix") {
-			t.Fatalf("workers=%d: error should carry the schedule prefix, got: %v", workers, err)
+			t.Fatalf("dpor=%v workers=%d: error should carry the schedule prefix, got: %v", opts.DPOR, opts.Workers, err)
 		}
 	}
 }

@@ -3,10 +3,11 @@ package check
 // Internal gate for the serial explorer's sibling batch peek: the peek
 // must actually fire (visited siblings skipped without a replay) and the
 // exploration it prunes must stay bit-identical — same States, Runs and
-// verdict — to the parallel explorer, which has no peek and therefore
-// replays every child the old way.
+// verdict — to a depth-first search without the peek, which replays
+// every child.
 
 import (
+	"slices"
 	"testing"
 
 	"cfc/internal/opset"
@@ -61,19 +62,47 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 		t.Fatalf("unexpected violation: %v", e.violation)
 	}
 
-	// The unpeeked parallel explorer is the reference.
-	popts := opts
-	popts.Workers = 2
-	ref, err := exploreParallel(peekBuilder(3), prop, popts, e.maxDepth, e.maxStates)
-	if err != nil {
+	// The reference is a test-local copy of dfs without the peek (the
+	// pattern TestPeekKeyMatchesChild uses): every child is replayed.
+	var core replayCore
+	if err := core.init(peekBuilder(3), e.maxDepth, opts.CollapseSpins); err != nil {
 		t.Fatal(err)
 	}
-	if ref.Truncated || e.truncated {
-		t.Fatalf("truncated: serial=%v parallel=%v", e.truncated, ref.Truncated)
+	defer core.close()
+	provider, _ := newProvider(opts, 3)
+	visited := make(map[uint64]bool)
+	runs, truncated := 0, false
+	var dfs func(sched []int)
+	dfs = func(sched []int) {
+		_, live, err := core.stateAt(sched)
+		if err != nil {
+			t.Fatalf("at %v: %v", sched, err)
+		}
+		if len(live) == 0 {
+			runs++
+			return
+		}
+		if len(sched) >= e.maxDepth {
+			truncated = true
+			return
+		}
+		h := core.stateHash()
+		if visited[h] {
+			return
+		}
+		visited[h] = true
+		br, _ := provider.branches(&core, live, sched, 0)
+		for _, b := range br {
+			dfs(append(slices.Clip(sched), b.entry))
+		}
 	}
-	if len(e.visited) != ref.States || e.runs != ref.Runs {
+	dfs(nil)
+	if truncated || e.truncated {
+		t.Fatalf("truncated: peeked=%v reference=%v", e.truncated, truncated)
+	}
+	if len(e.visited) != len(visited) || e.runs != runs {
 		t.Fatalf("peeked serial exploration diverged: states %d vs %d, runs %d vs %d",
-			len(e.visited), ref.States, e.runs, ref.Runs)
+			len(e.visited), len(visited), e.runs, runs)
 	}
 	t.Logf("states=%d runs=%d peeked=%d", len(e.visited), e.runs, e.peeked)
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // This file is the partial-order-reduction layer of the explorer. Node
-// expansion — in both the serial DFS and the work-stealing parallel
-// explorer — asks an enabledProvider for the branch set instead of
-// enumerating every ready process itself:
+// expansion in the serial DFS asks an enabledProvider for the branch set
+// instead of enumerating every ready process itself:
 //
 //   - fullProvider reproduces the unreduced exploration exactly (one
 //     step branch per live process, then crash branches), and is what
@@ -56,11 +55,9 @@ import (
 // independent of every step on the path since, so re-exploring it here
 // would only re-derive a permutation. Branch i of a node puts branches
 // 1..i-1 to sleep in its child (filtered by independence with branch i),
-// stolen frontier nodes carry their sleep set with them, and the visited
-// set is keyed on (state, sleep) so that expansion decisions are a pure
-// function of the node — which is what keeps completed explorations
-// bit-identical between the serial and parallel explorers at any worker
-// count.
+// and the visited set is keyed on (state, sleep) so that expansion
+// decisions are a pure function of the node, whatever order the nodes
+// are reached in.
 //
 // # Cycle proviso
 //
@@ -97,8 +94,7 @@ type branch struct {
 }
 
 // enabledProvider computes the branch set of a node. Implementations are
-// stateless (scratch lives in the per-goroutine replayCore), so one
-// provider is shared by all workers of a parallel exploration.
+// stateless: scratch lives in the replayCore.
 //
 // branches must be called with the core's session positioned at the node
 // by stateAt, whose folded histories and cell values the porProvider's

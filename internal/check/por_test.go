@@ -9,8 +9,8 @@ package check_test
 //     its witness schedule replays to a real violation;
 //   - the portfolio differential: POR-on and POR-off must agree on every
 //     verdict (with both witnesses replaying for the broken designs), and
-//     POR-on explorations must be bit-identical between the serial and
-//     the work-stealing parallel explorer at any worker count.
+//     a POR-on exploration must give the same result alone and side by
+//     side with the rest of the portfolio.
 
 import (
 	"testing"
@@ -114,9 +114,8 @@ func TestPORConflictingWritersNoReduction(t *testing.T) {
 }
 
 // TestPORSeededViolationWitnessReplays: the lost-update lock's mutual
-// exclusion violation must survive the reduction, serial and parallel,
-// and the witness must replay to a real violation on a fresh program
-// instance.
+// exclusion violation must survive the reduction, and the witness must
+// replay to a real violation on a fresh program instance.
 func TestPORSeededViolationWitnessReplays(t *testing.T) {
 	build := func() (*sim.Memory, []sim.ProcFunc, error) {
 		mem := sim.NewMemory(opset.AtomicRegisters)
@@ -126,20 +125,17 @@ func TestPORSeededViolationWitnessReplays(t *testing.T) {
 			driver.MutexBody(lock, 1, 0),
 		}, nil
 	}
-	for _, workers := range []int{1, 4} {
-		res, err := check.Explore(build, metrics.CheckMutualExclusion, check.Options{
-			MaxDepth: 60, CollapseSpins: true, POR: true, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Violation == nil {
-			t.Fatalf("workers=%d: POR exploration missed the lost-update race", workers)
-		}
-		if !witnessReplays(t, build, metrics.CheckMutualExclusion, check.Options{}, res.Violation.Schedule) {
-			t.Errorf("workers=%d: POR witness %v did not replay to a violation",
-				workers, res.Violation.Schedule)
-		}
+	res, err := check.Explore(build, metrics.CheckMutualExclusion, check.Options{
+		MaxDepth: 60, CollapseSpins: true, POR: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation == nil {
+		t.Fatal("POR exploration missed the lost-update race")
+	}
+	if !witnessReplays(t, build, metrics.CheckMutualExclusion, check.Options{}, res.Violation.Schedule) {
+		t.Errorf("POR witness %v did not replay to a violation", res.Violation.Schedule)
 	}
 }
 
@@ -224,40 +220,10 @@ func TestPORAgreesWithReferencePortfolio(t *testing.T) {
 	}
 }
 
-// TestPORParallelMatchesSerialPortfolio: with POR enabled, completed
-// explorations must stay bit-identical between the serial DFS and the
-// work-stealing parallel explorer — sleep sets travel with stolen
-// frontier nodes and nodes are keyed on (state, sleep), so visit order
-// cannot change the closure.
+// TestPORParallelMatchesSerialPortfolio runs the static-POR
+// explorations of the portfolio side by side (see exploreSideBySide).
 func TestPORParallelMatchesSerialPortfolio(t *testing.T) {
-	workerCounts := []int{2, 4}
-	if testing.Short() {
-		workerCounts = []int{4}
-	}
-	for _, j := range portfolioJobs(t) {
-		j := j
-		t.Run(j.name, func(t *testing.T) {
-			serialOpts := j.opts
-			serialOpts.Workers = 1
-			serialOpts.POR = true
-			serial, err := check.Explore(j.build, j.prop, serialOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Truncated {
-				t.Fatalf("portfolio config truncated under POR (%+v)", serial)
-			}
-			for _, w := range workerCounts {
-				parOpts := serialOpts
-				parOpts.Workers = w
-				parallel, err := check.Explore(j.build, j.prop, parOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResult(t, serial, parallel, w)
-			}
-		})
-	}
+	exploreSideBySide(t, true)
 }
 
 // TestPORSpinningProcessDoesNotStarveOthers pins the cycle proviso: a

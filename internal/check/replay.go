@@ -384,11 +384,11 @@ const maxSpinPeriod = 4
 // order states are discovered in. A tail-only collapse lacks this: two
 // merged arrivals with different spin counts diverge again one event
 // later (the spins are no longer the tail), and which arrival's subtree
-// gets expanded then depends on discovery order — unobservable in a
-// deterministic depth-first search, but a result-changing race for the
-// parallel explorer. One drop per event suffices: every prefix of a
-// canonical history was itself canonical when it was the whole history,
-// so it ends in no repetition.
+// gets expanded then depends on discovery order — unobservable in one
+// deterministic depth-first search, but a changed result for any search
+// that visits states in another order. One drop per event suffices:
+// every prefix of a canonical history was itself canonical when it was
+// the whole history, so it ends in no repetition.
 func (c *replayCore) appendLen(pid int, e histEntry) int {
 	h := c.hist[pid]
 	if c.collapse {

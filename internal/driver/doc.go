@@ -15,8 +15,9 @@
 // return and keep no state between runs, so the same body value can be
 // replayed across thousands of schedules — the model checker relies on
 // exactly this, both in its serial explorer (one program instance
-// replayed over one arena) and its parallel explorer (one instance per
-// worker, built by calling the Builder again rather than by sharing).
+// replayed over one arena) and in the DPOR engine's stage pass (one
+// instance per worker, built by calling the Builder again rather than
+// by sharing).
 //
 // The run shapes choose engines implicitly through the scheduler: solo
 // and sequential runs use run-to-completion schedulers, which the

@@ -46,10 +46,7 @@
 // the deterministic check.Explore output, wave jobs run the in-process
 // engine's own serial commit over pure reports (see check/wave.go), and
 // every witness is re-verified at the coordinator by serial replay
-// (check.ReplaysToViolation) before it is reported. As in-process, a
-// whole job explored with Workers > 1 is exact only when it completes
-// within its budgets; a truncated parallel exploration depends on visit
-// order in every mode.
+// (check.ReplaysToViolation) before it is reported.
 //
 // Failure handling is by re-execution, never by trust: a disconnected
 // worker's jobs are re-queued; a malformed or oversized frame drops only

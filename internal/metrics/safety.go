@@ -8,9 +8,10 @@ import (
 
 // The three safety properties below are the model checker's Property
 // functions, called once per explored state — hundreds of thousands of
-// times per exploration, and concurrently from worker goroutines when the
-// checker runs parallel (check.Options.Workers). They are therefore
-// written to two contracts:
+// times per exploration, and concurrently from several goroutines when
+// the checker's DPOR stage pass runs on several (check.Options.Workers)
+// or several explorations run at once (cfccheck -workers). They are
+// therefore written to two contracts:
 //
 //   - Safe for concurrent use: pure functions of the trace, no package
 //     state, no retained scratch. Accumulation across states (violation

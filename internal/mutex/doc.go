@@ -16,7 +16,7 @@
 // in the simulator's Memory, and instance methods are pure functions of
 // the values their accesses return. One instance therefore serves any
 // number of sequential runs (the memory is reset per run), and the model
-// checker's parallel explorer builds one instance per worker — never
+// checker's DPOR stage pass builds one instance per worker — never
 // sharing instances across goroutines, because the Memory underneath is
 // single-run state.
 //

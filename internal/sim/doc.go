@@ -83,8 +83,9 @@
 // program copy, at the same checkpoint. The model checker (package
 // check) is the driving client: its depth-first exploration makes
 // consecutive targets share long prefixes, so nearly every Seek is a
-// single-decision extension, and its parallel explorer gives each worker
-// a private session positioned with Seek at stolen frontier schedules.
+// single-decision extension, and its DPOR stage pass gives each worker
+// a private session that Seeks from one wave task's schedule to the
+// next.
 //
 // A rewind relies on determinism per process, not just per program:
 // each body must be a function of its own responses alone, with no

@@ -2,8 +2,8 @@ package sim
 
 // Edge-case coverage for the Session checkpointing primitives
 // (Decisions, TruncateTo, Seek, Fork). These paths are load-bearing for
-// the model checker's parallel explorer, which positions per-worker
-// sessions at arbitrary frontier schedules.
+// the model checker, whose DPOR stage pass positions per-worker
+// sessions at arbitrary wave-task schedules.
 
 import (
 	"errors"

@@ -4,17 +4,18 @@
 # BENCH_2.json, ...).
 #
 # Usage:
-#   scripts/bench.sh [output.json]      # default BENCH_8.json
+#   scripts/bench.sh [output.json]      # default BENCH_9.json
 #   BENCHTIME=2s scripts/bench.sh       # longer benchtime for stabler numbers
-#   BASELINE=BENCH_2.json scripts/bench.sh  # record to diff against
+#   BASELINE=BENCH_2.json scripts/bench.sh  # record to diff against (default BENCH_8.json)
 #   SINK_RUNS=100000 scripts/bench.sh   # shorter streaming sweep (default 1M)
 #   FABRIC_PORT=35001 scripts/bench.sh  # loopback port for the fabric section
 #
 # The emitted file carries ns/op, events/op and ns/event per benchmark,
 # the frozen seed baseline (the goroutine-engine numbers before the
-# direct-execution engine landed), a check_suite section timing the
-# model-checker test suite serially versus with 4 parallel explorer
-# workers (CFC_CHECK_WORKERS) plus a multicore honesty flag (a speedup
+# direct-execution engine landed), a check_suite section timing
+# cfccheck -n 3 at -workers 1 versus one worker per cpu, in the default
+# DPOR mode and the unreduced reference mode, with the rows of each pair
+# diffed for equality first, plus a multicore honesty flag (a speedup
 # measured on one core is coordination overhead, not speedup), por and
 # dpor sections recording the three-way reduction differential
 # (cfccheck -pordiff): per portfolio entry the state counts, wall-clock
@@ -43,8 +44,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_8.json}"
-BASELINE="${BASELINE:-BENCH_7.json}"
+OUT="${1:-BENCH_9.json}"
+BASELINE="${BASELINE:-BENCH_8.json}"
 BENCHTIME="${BENCHTIME:-500ms}"
 SINK_RUNS="${SINK_RUNS:-1000000}"
 FABRIC_PORT="${FABRIC_PORT:-34871}"
@@ -57,24 +58,36 @@ trap 'rm -f "$RAW" "$PORRAW" "$OLDTAB" "$NEWTAB"' EXIT
 go build ./...
 go test ./...
 
-# Model-checker exploration wall clock, serial vs 4 workers. Only the
-# worker-sensitive exhaustive tests are timed (-run TestExhaustive):
-# the rest of the package — in particular the differential gates, which
-# always explore in both modes — would be a mode-independent constant
-# diluting the ratio. On a single-core machine the two are expected to
-# tie (the workers time-slice); the speedup is meaningful on multi-core
-# only, so the record carries the cpu count alongside.
+# Model-checker wall clock: cfccheck -n 3 at -workers 1 versus one
+# worker per cpu, in the default DPOR mode and in the unreduced
+# reference mode. -workers k explores up to k portfolio jobs at once and
+# prints rows in job order, so each pair's rows must be byte-identical;
+# any difference fails the bench run. On a single-core machine the two
+# are expected to tie; the speedup is meaningful on multi-core only, so
+# the record carries the cpu count alongside.
 CPUS="$(getconf _NPROCESSORS_ONLN)"
 now_ms() { date +%s%3N; }
-t0=$(now_ms)
-CFC_CHECK_WORKERS=1 go test -count=1 -run 'TestExhaustive' ./internal/check >/dev/null
-t1=$(now_ms)
-CHECK_SERIAL_MS=$((t1 - t0))
-t0=$(now_ms)
-CFC_CHECK_WORKERS=4 go test -count=1 -run 'TestExhaustive' ./internal/check >/dev/null
-t1=$(now_ms)
-CHECK_PAR_MS=$((t1 - t0))
-echo "check explorations: serial ${CHECK_SERIAL_MS}ms, workers=4 ${CHECK_PAR_MS}ms (cpus: ${CPUS})"
+CHKDIR="$(mktemp -d)"
+go build -o "$CHKDIR/cfccheck" ./cmd/cfccheck
+check_pair() { # check_pair <label> <flags...> -> "<ms at -workers 1> <ms at -workers CPUS>", rows diffed
+    local label="$1"; shift
+    local t0 t1 t2
+    t0=$(now_ms)
+    "$CHKDIR/cfccheck" -n 3 "$@" -workers 1 > "$CHKDIR/$label-1.txt"
+    t1=$(now_ms)
+    "$CHKDIR/cfccheck" -n 3 "$@" -workers "$CPUS" > "$CHKDIR/$label-$CPUS.txt"
+    t2=$(now_ms)
+    diff "$CHKDIR/$label-1.txt" "$CHKDIR/$label-$CPUS.txt" >&2 \
+        || { echo "cfccheck -n 3 ($label mode) rows differ between -workers 1 and $CPUS" >&2; exit 1; }
+    echo "$((t1 - t0)) $((t2 - t1))"
+}
+CHECK_DPOR_MS="$(check_pair dpor)"
+CHECK_REF_MS="$(check_pair ref -dpor=false -por=false)"
+read -r CHECK_DPOR_SERIAL_MS CHECK_DPOR_PAR_MS <<< "$CHECK_DPOR_MS"
+read -r CHECK_REF_SERIAL_MS CHECK_REF_PAR_MS <<< "$CHECK_REF_MS"
+rm -rf "$CHKDIR"
+echo "cfccheck -n 3: DPOR ${CHECK_DPOR_SERIAL_MS}ms at -workers 1, ${CHECK_DPOR_PAR_MS}ms at -workers ${CPUS};" \
+    "reference ${CHECK_REF_SERIAL_MS}ms, ${CHECK_REF_PAR_MS}ms (cpus: ${CPUS})"
 
 # Partial-order-reduction differential over the default portfolio: the
 # gate fails the whole bench run if any verdict disagrees (set -e), and
@@ -192,17 +205,19 @@ go test -run '^$' -bench 'BenchmarkSim' -benchtime "$BENCHTIME" . | tee "$RAW"
     printf '    "SimExhaustiveCheck": {"ns_per_op": 6397282},\n'
     printf '    "go_test_internal_check_seconds": 13.3\n'
     printf '  },\n'
-    # The exhaustive exploration tests serial vs parallel explorer (see
-    # CFC_CHECK_WORKERS in internal/check/parallel_test.go). speedup is
-    # serial/workers4; on a single-core host (cpus = 1) it cannot exceed
-    # ~1 and records coordination overhead instead.
+    # cfccheck -n 3 at -workers 1 vs -workers <cpus>, DPOR and
+    # reference mode, rows diffed identical before recording. Each
+    # speedup is serial/workers; on a single-core host (cpus = 1) it
+    # cannot exceed ~1 and records coordination overhead instead.
     # multicore is the honesty flag for every time-based ratio in the
-    # record: false means the host had one core, so the speedup and the
+    # record: false means the host had one core, so the speedups and the
     # parallel dpor_ms numbers measure time-slicing, not parallelism.
-    printf '  "check_suite": {"cpus": %d, "multicore": %s, "serial_seconds": %.2f, "workers4_seconds": %.2f, "speedup": %.2f},\n' \
-        "$CPUS" "$([[ "$CPUS" -gt 1 ]] && echo true || echo false)" \
-        "$(awk "BEGIN{print $CHECK_SERIAL_MS/1000.0}")" "$(awk "BEGIN{print $CHECK_PAR_MS/1000.0}")" \
-        "$(awk "BEGIN{print ($CHECK_PAR_MS > 0) ? $CHECK_SERIAL_MS/$CHECK_PAR_MS : 0}")"
+    printf '  "check_suite": {"cpus": %d, "multicore": %s, "workers": %d, "dpor_serial_seconds": %.2f, "dpor_workers_seconds": %.2f, "dpor_speedup": %.2f, "ref_serial_seconds": %.2f, "ref_workers_seconds": %.2f, "ref_speedup": %.2f},\n' \
+        "$CPUS" "$([[ "$CPUS" -gt 1 ]] && echo true || echo false)" "$CPUS" \
+        "$(awk "BEGIN{print $CHECK_DPOR_SERIAL_MS/1000.0}")" "$(awk "BEGIN{print $CHECK_DPOR_PAR_MS/1000.0}")" \
+        "$(awk "BEGIN{print ($CHECK_DPOR_PAR_MS > 0) ? $CHECK_DPOR_SERIAL_MS/$CHECK_DPOR_PAR_MS : 0}")" \
+        "$(awk "BEGIN{print $CHECK_REF_SERIAL_MS/1000.0}")" "$(awk "BEGIN{print $CHECK_REF_PAR_MS/1000.0}")" \
+        "$(awk "BEGIN{print ($CHECK_REF_PAR_MS > 0) ? $CHECK_REF_SERIAL_MS/$CHECK_REF_PAR_MS : 0}")"
     # Fleet throughput from the fixed-seed smoke fleet's FLEET-SUMMARY.
     printf '  "fleet": {"seed": %s, "n": %s, "runs": %s, "events": %s, "runs_per_s": %s, "events_per_s": %s},\n' \
         "$(fleet_val seed)" "$(fleet_val n)" "$(fleet_val runs)" "$(fleet_val events)" \
@@ -317,14 +332,18 @@ if [[ -f "$BASELINE" && "$BASELINE" != "$OUT" ]]; then
     BASE_CPUS="$(json_num "$BASELINE" cpus)"
     if [[ -n "$BASE_CPUS" && "$BASE_CPUS" != "$CPUS" ]]; then
         echo "HARDWARE MISMATCH: $BASELINE was recorded on ${BASE_CPUS} cpu(s), this host has ${CPUS};"
-        echo "  suppressing the check_suite speedup comparison and the ns/op regression diff"
+        echo "  suppressing the check_suite speedup comparisons and the ns/op regression diff"
         echo "  (time-based ratios across differing hardware are not meaningful; compare records from like hardware)"
     else
-        BASE_SPEEDUP="$(json_num "$BASELINE" speedup)"
-        NEW_SPEEDUP="$(json_num "$OUT" speedup)"
-        if [[ -n "$BASE_SPEEDUP" ]]; then
-            echo "check_suite speedup: ${NEW_SPEEDUP} (baseline ${BASE_SPEEDUP}, cpus ${CPUS})"
-        fi
+        # Records before BENCH_9 timed a different check_suite (the
+        # TestExhaustive suite against a work-stealing explorer) and lack
+        # these keys, so there is nothing like to compare with.
+        for key in dpor_speedup ref_speedup; do
+            BASE_SPEEDUP="$(json_num "$BASELINE" "$key")"
+            if [[ -n "$BASE_SPEEDUP" ]]; then
+                echo "check_suite $key: $(json_num "$OUT" "$key") (baseline ${BASE_SPEEDUP}, cpus ${CPUS})"
+            fi
+        done
         extract_ns "$BASELINE" > "$OLDTAB"
         extract_ns "$OUT" > "$NEWTAB"
         awk -v base="$BASELINE" '

@@ -330,6 +330,92 @@ func BenchmarkSimSoloThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/eventsPerOp, "ns/event")
 }
 
+func BenchmarkSimSessionRewind(b *testing.B) {
+	// Substrate microbenchmark for the session-replay layer: one
+	// reuse-arena session of Lamport's fast mutex for three processes is
+	// repositioned over a fixed cycle of 24-decision schedules that
+	// branch off a common spine at depths 4 to 20, the way a depth-first
+	// search backtracks; one of them crashes and restarts process 1. An
+	// op is one Seek. refed/op is hardware-independent: the decisions a
+	// Seek re-feeds to the bodies it rewinds, i.e. the Executed delta
+	// minus the decisions it applies past the kept prefix.
+	const depth = 24
+	build := func() (*cfc.Memory, []cfc.ProcFunc) {
+		alg := cfc.LamportFast()
+		mem := cfc.NewMemory(alg.Model())
+		inst, err := alg.New(mem, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body := cfc.MutexBody(inst, 2, 0)
+		return mem, []cfc.ProcFunc{body, body, body}
+	}
+
+	// Build the cycle on a scratch session: extend steps the i-th
+	// decision's ready pid at rotation rot.
+	gmem, gprocs := build()
+	gen, err := cfc.StartSession(cfc.Config{Mem: gmem, Procs: gprocs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	extend := func(rot int) []int {
+		for i := 0; gen.Depth() < depth; i++ {
+			ready := gen.Ready()
+			if len(ready) == 0 {
+				break
+			}
+			if err := gen.Step(ready[(i+rot)%len(ready)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return append([]int(nil), gen.Decisions()...)
+	}
+	seek := func(s *cfc.Session, sch []int) {
+		if err := s.Seek(sch); err != nil {
+			b.Fatalf("Seek(%v): %v", sch, err)
+		}
+	}
+	spine := extend(0)
+	cycle := [][]int{spine}
+	for _, k := range []int{20, 12, 4, 16, 8} {
+		seek(gen, spine[:k])
+		cycle = append(cycle, extend(1))
+	}
+	seek(gen, spine[:10])
+	if err := gen.Crash(1); err != nil {
+		b.Fatal(err)
+	}
+	if err := gen.Restart(1); err != nil {
+		b.Fatal(err)
+	}
+	cycle = append(cycle, extend(2))
+	gen.Close()
+
+	mem, procs := build()
+	s, err := cfc.StartSession(cfc.Config{Mem: mem, Procs: procs, Reuse: cfc.NewArena()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for _, sch := range cycle { // warm the session's buffers
+		seek(s, sch)
+	}
+	refed := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sch := cycle[i%len(cycle)]
+		cur, lcp := s.Decisions(), 0
+		for lcp < len(cur) && lcp < len(sch) && cur[lcp] == sch[lcp] {
+			lcp++
+		}
+		before := s.Executed()
+		seek(s, sch)
+		refed += s.Executed() - before - (len(sch) - lcp)
+	}
+	b.ReportMetric(float64(refed)/float64(b.N), "refed/op")
+}
+
 func BenchmarkSimExhaustiveCheck(b *testing.B) {
 	// Substrate microbenchmark: full exhaustive exploration of Peterson's
 	// algorithm for two processes in each engine, plus DPOR with four

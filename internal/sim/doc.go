@@ -34,7 +34,9 @@
 //     loop allocates nothing. For deterministic schedulers that
 //     interleave (Scripted, RoundRobin, Random, the model checker's
 //     replay scheduler) bodies run as same-thread coroutines (iter.Pull),
-//     one cheap coroutine switch per event.
+//     one cheap coroutine switch per event. A process keeps its
+//     coroutine for the whole run or session, across crashes, restarts
+//     and Session rewinds, and parks it between body incarnations.
 //
 // Both engines drive the same run-loop core, mutate memory in the same
 // single place and produce identical traces; an engine only changes how
@@ -91,12 +93,17 @@
 // each body must be a function of its own responses alone, with no
 // state shared outside the simulated memory (a closure counter, a
 // package variable, the clock). The rewind then re-runs only the
-// processes named in the discarded decisions, feeding each its own
-// recorded responses, while every other body stays parked; it costs the
-// moved processes' kept steps plus one pass over the kept trace, not
-// the whole prefix. Each re-fed request is checked against its recorded
-// event, so a body that breaks the contract makes the rewind fail with
-// ErrDiverged instead of silently producing a different run.
+// processes named in the discarded decisions, each on its own coroutine
+// and in any order, while every other body stays parked. A moved body
+// gets its kept events in one resume, split only at its recorded
+// crashes: each request it issues is answered inside its coroutine from
+// the recorded response, without switching back to the session. Memory
+// is restored from one undo word per discarded decision. A rewind therefore costs the moved processes'
+// kept steps and one coroutine switch pair per moved process, not the
+// whole prefix, and starts no goroutine. Each re-fed request is checked
+// against its recorded event, so a body that breaks the contract makes
+// the rewind fail with ErrDiverged instead of silently producing a
+// different run.
 //
 // Session.PendingOps exposes the suspended processes' next requests —
 // operation, register footprint, written argument — before any of them

@@ -17,7 +17,11 @@ import "iter"
 //     iter.Pull coroutine. A scheduled event costs one same-thread
 //     coroutine switch instead of two channel handshakes through the Go
 //     scheduler, which is about 4x cheaper, and all bodies still execute
-//     on the run loop's goroutine, one at a time.
+//     on the run loop's goroutine, one at a time. Each process keeps one
+//     coroutine for the whole run or session: it runs the body once per
+//     incarnation and parks between two, so a crash and restart, or a
+//     Session rewind, costs coroutine switches but starts no goroutine.
+//     finish stops every coroutine, so none outlives its run or session.
 //
 // Both strategies reuse the shared runLoop core, so they produce traces
 // identical to the goroutine engine, with one documented exception: the
@@ -30,7 +34,7 @@ import "iter"
 // coroTransport drives bodies as same-thread coroutines via iter.Pull.
 type coroTransport struct {
 	coros  []coroProc
-	bodies []ProcFunc // kept for restart: a revived body is a fresh coroutine
+	bodies []ProcFunc // kept to rebuild a coroutine a body panic ended
 	arena  *Arena
 }
 
@@ -45,6 +49,7 @@ func newCoroTransport(bodies []ProcFunc, ar *Arena) *coroTransport {
 	var t *coroTransport
 	if ar != nil {
 		t = &ar.coroT
+		t.finish() // a finished session parks its coroutines until closed
 		if cap(t.coros) < n {
 			t.coros = make([]coroProc, n)
 		} else {
@@ -65,9 +70,11 @@ func newCoroTransport(bodies []ProcFunc, ar *Arena) *coroTransport {
 	return t
 }
 
-// initCoro (re)builds the coroutine of process i around a fresh Proc; it
-// serves both initial construction and crash recovery (a restarted body is
-// a brand-new coroutine over the same pid).
+// initCoro builds the coroutine of process i around a fresh Proc. The
+// coroutine runs the body once per incarnation and parks between two by
+// yielding the zero request, which start, resume and restart report as a
+// returned body. It ends only when stopped, or when a body panic other
+// than the run loop's unwind propagates out of it.
 func (t *coroTransport) initCoro(i int) {
 	n := len(t.bodies)
 	body := t.bodies[i]
@@ -81,41 +88,84 @@ func (t *coroTransport) initCoro(i int) {
 	c := &t.coros[i]
 	c.proc = pr
 	c.next, c.stop = iter.Pull(func(yield func(request) bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(unwind); ok {
-					return // killed by the run loop; already accounted
-				}
-				panic(r) // real bug in an algorithm: surface it
-			}
-		}()
 		pr.yield = yield
-		body(pr)
+		for {
+			runIncarnation(body, pr)
+			if pr.rerun {
+				pr.rerun = false
+				continue
+			}
+			if !yield(request{}) {
+				return
+			}
+		}
 	})
 }
 
+// runIncarnation runs one incarnation of body, recovering the unwind
+// panic with which Proc.do ends a killed body.
+func runIncarnation(body ProcFunc, pr *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(unwind); ok {
+				return // killed by the run loop; already accounted
+			}
+			panic(r) // real bug in an algorithm: surface it
+		}
+	}()
+	body(pr)
+}
+
 func (t *coroTransport) start(pid int) (request, bool) {
-	return t.coros[pid].next()
+	req, _ := t.coros[pid].next()
+	return req, req.kind != 0
 }
 
 func (t *coroTransport) resume(pid int, resp response) (request, bool) {
 	c := &t.coros[pid]
 	c.proc.resp = resp
-	return c.next()
+	req, _ := c.next()
+	return req, req.kind != 0
 }
 
-// kill unwinds the body: iter.Pull's stop makes the suspended yield return
-// false, which Proc.do converts into the unwind panic the wrapper
-// recovers. stop is synchronous, so the body is gone when kill returns.
+// kill unwinds the body parked at a request: Proc.do turns the kill
+// response into the unwind panic, and the coroutine parks until restart.
 func (t *coroTransport) kill(pid int) {
-	t.coros[pid].stop()
+	c := &t.coros[pid]
+	c.proc.resp = response{kill: true}
+	c.next()
 }
 
-// restart rebuilds pid's coroutine (its previous incarnation was stopped
-// by kill) and runs the body to its first request.
+// restart runs pid's body again, from its parked coroutine, up to its
+// first request; the previous incarnation was killed or returned.
 func (t *coroTransport) restart(pid int) (request, bool) {
-	t.initCoro(pid)
-	return t.coros[pid].next()
+	req, ok, _ := t.refeed(pid, false, nil, nil)
+	return req, ok
+}
+
+// refeed runs a new incarnation of pid's body — after unwinding the one
+// parked at a request when kill is set — and answers, without yielding,
+// each request that matches the next recorded event events[feed[i]] with
+// that event's response. It returns where the body parked: at the first
+// request the feed did not answer (ok), or returned (not ok); fed counts
+// the events answered. The whole feed costs one coroutine switch pair.
+func (t *coroTransport) refeed(pid int, kill bool, events []Event, feed []int32) (req request, ok bool, fed int) {
+	c := &t.coros[pid]
+	pr := c.proc
+	pr.events, pr.feed = events, feed
+	if kill {
+		pr.resp, pr.rerun = response{kill: true}, true
+	}
+	req, ok = c.next()
+	if !ok { // a body panic ended the coroutine: build it again
+		t.initCoro(pid)
+		pr = c.proc
+		pr.events, pr.feed = events, feed
+		req, _ = c.next()
+	}
+	fed = len(feed) - len(pr.feed)
+	pr.events, pr.feed = nil, nil
+	return req, req.kind != 0, fed
 }
 
 func (t *coroTransport) finish() {

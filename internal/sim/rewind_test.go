@@ -9,6 +9,7 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -231,10 +232,12 @@ func TestSessionRewindKeepsUnmovedBodies(t *testing.T) {
 // their own invocations through a closure variable — state outside the
 // simulated memory — and act on the count. Re-fed after a rewind, such a
 // body issues a different request than the one recorded (or none), and
-// the rewind must fail with ErrDiverged naming the process rather than
-// silently produce a different run, whether the recorded event lies in
-// the kept prefix or is the body's first discarded step. A full replay
-// then revives the session.
+// the rewind must fail with ErrDiverged naming the process and the
+// recorded event rather than silently produce a different run: whether
+// the recorded event lies in the kept prefix (at the body's first kept
+// step, deep inside it, or past a kept crash and restart, where the kept
+// events split into two segments) or is the body's first discarded step.
+// A full replay then revives the session.
 func TestSessionRewindRejectsNondeterministicBody(t *testing.T) {
 	writesCount := func(calls uint64, p *Proc, x Reg) {
 		p.Write(x, calls)
@@ -247,17 +250,41 @@ func TestSessionRewindRejectsNondeterministicBody(t *testing.T) {
 		p.Write(x, 1)
 		p.Read(x)
 	}
+	writesCountThird := func(calls uint64, p *Proc, x Reg) {
+		p.Write(x, 1)
+		p.Read(x)
+		p.Write(x, calls)
+		p.Read(x)
+	}
+	returnsAfterTwo := func(calls uint64, p *Proc, x Reg) {
+		p.Write(x, 1)
+		p.Read(x)
+		if calls > 1 {
+			return
+		}
+		p.Write(x, 2)
+		p.Read(x)
+	}
+	crash, restart := CrashEntry(0), RestartEntry(0)
 	for _, tc := range []struct {
 		name       string
 		body       func(calls uint64, p *Proc, x Reg)
 		run, seek  []int
+		recorded   int // Seq of the recorded event the error must name
 		revive     []int
 		wantEvents int // after the revival
 	}{
-		{"kept step", writesCount, []int{0, 0, 1}, []int{0, 1}, []int{0, 1}, 2},
-		{"parked request", writesCount, []int{1, 0}, []int{1, 1}, []int{1, 1}, 3}, // p1 returns: a termination mark
+		{"kept step", writesCount, []int{0, 0, 1}, []int{0, 1}, 0, []int{0, 1}, 2},
+		{"parked request", writesCount, []int{1, 0}, []int{1, 1}, 1, []int{1, 1}, 3}, // p1 returns: a termination mark
 		// Both bodies now return at once: two termination marks.
-		{"returned early", returnsOnRerun, []int{0, 0, 1}, []int{0, 1}, []int{}, 2},
+		{"returned early", returnsOnRerun, []int{0, 0, 1}, []int{0, 1}, 0, []int{}, 2},
+		{"third kept step", writesCountThird, []int{0, 0, 0, 1, 0}, []int{0, 0, 0, 1}, 2, []int{0, 0, 0, 1}, 4},
+		// p0 now returns after its second step: a termination mark.
+		{"returned mid-segment", returnsAfterTwo, []int{0, 0, 0, 1, 0}, []int{0, 0, 0, 1}, 2, []int{0, 0, 1}, 4},
+		// p0's kept events: a step, the crash, the restart, three steps;
+		// the second segment diverges at its third step.
+		{"second segment", writesCountThird, []int{0, crash, restart, 0, 0, 0, 1, 0},
+			[]int{0, crash, restart, 0, 0, 0, 1}, 5, []int{0, crash, restart, 0, 0, 0, 1}, 7},
 	} {
 		mem := NewMemory(opset.AtomicRegisters)
 		x := mem.Register("x", 8)
@@ -273,12 +300,16 @@ func TestSessionRewindRejectsNondeterministicBody(t *testing.T) {
 		if err := s.Seek(tc.run); err != nil {
 			t.Fatalf("%s: Seek(%v): %v", tc.name, tc.run, err)
 		}
+		recorded := s.Trace().Events[tc.recorded]
 		err = s.Seek(tc.seek)
 		if !errors.Is(err, ErrDiverged) {
 			t.Fatalf("%s: rewind of a nondeterministic body: err = %v, want ErrDiverged", tc.name, err)
 		}
 		if !strings.Contains(err.Error(), "process 0") {
 			t.Fatalf("%s: error %q does not name process 0", tc.name, err)
+		}
+		if want := "recorded " + recorded.String() + ","; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name the recorded event %q", tc.name, err, recorded)
 		}
 		if s.Err() == nil || s.Trace().Stop != StopError {
 			t.Fatalf("%s: session not errored after divergence: Err %v, Stop %v", tc.name, s.Err(), s.Trace().Stop)
@@ -295,4 +326,102 @@ func TestSessionRewindRejectsNondeterministicBody(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// TestSessionRewindAllocationFree is the allocation gate for rewinds: a
+// reuse-arena session cycling Seek over schedules that each rewind all
+// three bodies, every one with kept steps to re-feed, and one with a kept
+// crash and restart (two segments), allocates nothing once its buffers
+// are warm. A rewind reuses each body's coroutine and restores memory
+// from its undo words.
+func TestSessionRewindAllocationFree(t *testing.T) {
+	mem, procs := rewindProgram()
+	s, err := StartSession(Config{Mem: mem, Procs: procs, MaxSteps: 1000, Reuse: NewArena()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	crash1, restart1 := CrashEntry(1), RestartEntry(1)
+	schedules := [][]int{
+		{0, 1, 2, 0, 1, 2, 0, 1, 2, 0},
+		{0, 1, 2, 0, crash1, restart1, 1, 2, 0, 1},
+		{0, 1, 2, 0, crash1, restart1, 2, 0, 1, 1},
+	}
+	cycle := func() {
+		for _, sch := range schedules {
+			cur, lcp := s.Decisions(), 0
+			for lcp < len(cur) && lcp < len(sch) && cur[lcp] == sch[lcp] {
+				lcp++
+			}
+			before := s.Executed()
+			if err := s.Seek(sch); err != nil {
+				t.Fatalf("Seek(%v): %v", sch, err)
+			}
+			// Every body moves, so every kept decision is re-fed.
+			if refed := s.Executed() - before - (len(sch) - lcp); refed != lcp {
+				t.Fatalf("Seek(%v) re-fed %d decisions, want all %d kept", sch, refed, lcp)
+			}
+		}
+	}
+	cycle() // warm the session's buffers
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a cycle of %d rewinding seeks allocates %.1f times, want 0", len(schedules), allocs)
+	}
+}
+
+// TestSessionCoroutinesLiveAsLongAsTheSession pins the coroutine
+// lifetime: a session starts one coroutine per process, rewinds, crashes
+// and restarts start none, a finished session keeps them parked so it
+// can still be rewound, and Close ends them all — as does the next
+// session on the arena of a finished one.
+func TestSessionCoroutinesLiveAsLongAsTheSession(t *testing.T) {
+	live := func(when string, want int) {
+		t.Helper()
+		buf := make([]byte, 1<<20)
+		got := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "sim.(*coroTransport).initCoro") {
+				got++
+			}
+		}
+		if got != want {
+			t.Fatalf("%s: %d body coroutines, want %d", when, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	ar := NewArena()
+	start := func() *Session {
+		mem, procs := rewindProgram()
+		s, err := StartSession(Config{Mem: mem, Procs: procs, MaxSteps: 1000, Reuse: ar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	finish := func(s *Session) {
+		for !s.Finished() {
+			randomExtension(t, s, rng, 1)
+		}
+	}
+
+	s := start()
+	live("started", 3)
+	for i := 0; i < 100; i++ {
+		if err := s.TruncateTo(rng.Intn(s.Depth() + 1)); err != nil {
+			t.Fatal(err)
+		}
+		randomExtension(t, s, rng, rng.Intn(12))
+		live("after rewinds", 3)
+	}
+	finish(s)
+	live("finished", 3)
+	s.Close()
+	live("closed", 0)
+
+	finish(start())
+	s = start()
+	live("started on the arena of a finished session", 3)
+	s.Close()
+	live("closed", 0)
 }

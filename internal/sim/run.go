@@ -128,9 +128,17 @@ type Proc struct {
 
 	// yield/resp are set by the coroutine direct engine: yield suspends the
 	// body and hands the request to the run loop, which stores the answer
-	// in resp before resuming.
+	// in resp before resuming. rerun tells the coroutine to run the body
+	// again as soon as the kill in resp has unwound it.
 	yield func(request) bool
 	resp  response
+	rerun bool
+
+	// feed, while non-empty, indexes the recorded events a Session rewind
+	// re-feeds to this body: do answers each request that matches
+	// events[feed[0]] from that event and pops it, without yielding.
+	feed   []int32
+	events []Event
 
 	// req/res are set by the goroutine engine.
 	req chan request
@@ -150,6 +158,12 @@ func (p *Proc) do(r request) response {
 		return p.inl.inlineDo(p.id, r)
 	}
 	if p.yield != nil {
+		if len(p.feed) > 0 {
+			if e := &p.events[p.feed[0]]; requestMatches(r, e) {
+				p.feed = p.feed[1:]
+				return response{ret: e.Ret, hasRet: e.HasRet}
+			}
+		}
 		if !p.yield(r) {
 			panic(unwind{})
 		}

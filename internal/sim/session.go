@@ -82,48 +82,55 @@ func DecodeEntry(e int) (Action, int) {
 // deterministic function of its own responses, so only the bodies that
 // acted after the rewind point need to run again. A rewind to decision k
 // keeps every body not named in the discarded decisions parked where it
-// is, cuts the trace back to the events before decision k, rebuilds the
-// memory from that kept trace, and restarts each moved body on a fresh
-// coroutine, feeding it its own recorded responses (and replaying its
-// recorded crashes and restarts) up to the cut. Every request a re-fed
-// body issues is checked against the event recorded for it; a body that
-// does not reproduce its run closes the session with ErrDiverged. A
-// rewind therefore costs the moved processes' kept steps plus one pass
-// over the kept events, not the whole prefix, and extending — the common
-// case in depth-first exploration — costs only the new decisions.
+// is, cuts the trace back to the events before decision k, writes back
+// the cell values the discarded decisions overwrote, and runs each moved
+// body again on the coroutine it already has. Its kept events go to it
+// in one resume, split only at its kept crashes: each request the body
+// issues is checked against its next recorded event and answered with
+// that event's response without leaving the coroutine. A body that does
+// not reproduce its run closes the session with ErrDiverged. A rewind
+// therefore costs the moved processes' kept steps and one coroutine
+// switch pair per moved process, and starts no goroutine; extending — the
+// common case in depth-first exploration — costs only the new decisions.
 // Executed counts what positioning cost, in decisions.
 //
 // Sessions always execute on the direct engine (bodies run as
 // same-thread coroutines); Config.Sched and Config.Engine are ignored.
-// A session must be Closed when abandoned so all bodies unwind; a session
-// whose every process terminated (or crashed) finishes by itself, and
-// Close is then a no-op. A closed (or errored) session is not dead:
+// A session must be Closed when abandoned, even once every process has
+// terminated (or crashed) and the session has finished: its coroutines
+// stay parked until then, so that a finished run can still be rewound.
+// A closed (or errored) session is not dead:
 // TruncateTo and Seek revive it by restarting the program and replaying
 // the target from the root.
 type Session struct {
 	cfg       Config
 	loop      *runLoop
-	tr        transport
+	tr        *coroTransport
 	decisions []int
-	evAt      []int // trace length before each decision
-	stepAt    []int // scheduled steps before each decision
-	executed  int   // decisions performed plus decisions re-fed by rewinds
-	rw        []refeed
+	undo      []undo    // one per decision: what a rewind past it restores
+	pev       [][]int32 // per process: the trace indices of its events
+	executed  int       // decisions performed plus decisions re-fed by rewinds
+	moved     []bool    // rewind scratch: named in a discarded decision
 	finished  bool
 	closed    bool
 	err       error
 }
 
-// refeed is a rewind's per-process scratch.
-type refeed struct {
-	moved bool // named in a discarded decision: re-run from its start
-	next  int  // index of its first discarded event
+// undo is what a rewind past one decision restores: the trace length and
+// the scheduled steps before it and, for an access step, the accessed
+// cell's whole value before it (cell is -1 for crashes, restarts and
+// steps that access no cell).
+type undo struct {
+	ev, steps int
+	cell      int
+	old       uint64
 }
 
 // StartSession validates cfg, resets the memory and runs every process
 // body up to its first pending event. Config.Reuse recycles the session,
 // trace and coroutine scratch exactly as it does for Run (the previous
-// session of the arena must be closed or finished).
+// session of the arena must be closed or finished; a finished one's
+// parked coroutines are ended here).
 func StartSession(cfg Config) (*Session, error) {
 	loop, _, err := setupRun(cfg)
 	if err != nil {
@@ -140,10 +147,23 @@ func StartSession(cfg Config) (*Session, error) {
 	}
 	t := newCoroTransport(cfg.Procs, cfg.Reuse)
 	*s = Session{cfg: cfg, loop: loop, tr: t,
-		decisions: s.decisions[:0], evAt: s.evAt[:0], stepAt: s.stepAt[:0], rw: s.rw}
+		decisions: s.decisions[:0], undo: s.undo[:0], pev: s.pev, moved: s.moved}
+	s.resetEvents()
 	loop.absorb(t)
 	s.finished = loop.npending == 0
 	return s, nil
+}
+
+// resetEvents empties the per-process event index, keeping its buffers.
+func (s *Session) resetEvents() {
+	if n := len(s.cfg.Procs); cap(s.pev) < n {
+		s.pev = make([][]int32, n)
+	} else {
+		s.pev = s.pev[:n]
+	}
+	for p := range s.pev {
+		s.pev[p] = s.pev[p][:0]
+	}
 }
 
 // Ready returns the sorted pids with a pending event. The slice is valid
@@ -177,8 +197,8 @@ func (s *Session) Depth() int { return len(s.decisions) }
 // events untouched, so state derived from them event by event survives
 // the Seek.
 func (s *Session) EventsBefore(k int) int {
-	if k < len(s.evAt) {
-		return s.evAt[k]
+	if k < len(s.undo) {
+		return s.undo[k].ev
 	}
 	return len(s.loop.buf.tr.Events)
 }
@@ -226,8 +246,9 @@ func (s *Session) Restart(pid int) error {
 	if l.steps >= l.maxSteps {
 		return ErrMaxSteps
 	}
-	s.push(RestartEntry(pid), l.seq, l.steps)
+	u := undo{ev: l.seq, steps: l.steps, cell: -1}
 	l.restartCrashed(pid, s.tr)
+	s.push(RestartEntry(pid), pid, u)
 	s.finished = l.npending == 0
 	return nil
 }
@@ -243,13 +264,17 @@ func (s *Session) apply(pid int, crash bool) error {
 	if !l.isPending(pid) {
 		return fmt.Errorf("sim: session: process %d: %w", pid, ErrNotReady)
 	}
-	seq, steps := l.seq, l.steps
+	u := undo{ev: l.seq, steps: l.steps, cell: -1}
 	if crash {
 		l.crashProc(pid, s.tr)
-		s.push(CrashEntry(pid), seq, steps)
+		s.push(CrashEntry(pid), pid, u)
 	} else {
 		if l.steps >= l.maxSteps {
 			return ErrMaxSteps
+		}
+		if req := l.pending[pid]; req.kind == reqAccess {
+			u.cell = int(req.reg.cell)
+			u.old = l.mem.vals[u.cell]
 		}
 		if err := l.stepReady(pid, s.tr); err != nil {
 			l.stop = StopError
@@ -259,18 +284,21 @@ func (s *Session) apply(pid int, crash bool) error {
 			s.close()
 			return err
 		}
-		s.push(StepEntry(pid), seq, steps)
+		s.push(StepEntry(pid), pid, u)
 	}
 	s.finished = l.npending == 0
 	return nil
 }
 
-// push records performed decision d with the trace length and step
-// count from before it, which a rewind to it restores.
-func (s *Session) push(d, seq, steps int) {
+// push records performed decision d of process pid with what a rewind
+// past it restores, and indexes the events it recorded, which are all
+// pid's (from u.ev on).
+func (s *Session) push(d, pid int, u undo) {
 	s.decisions = append(s.decisions, d)
-	s.evAt = append(s.evAt, seq)
-	s.stepAt = append(s.stepAt, steps)
+	s.undo = append(s.undo, u)
+	for e := u.ev; e < s.loop.seq; e++ {
+		s.pev[pid] = append(s.pev[pid], int32(e))
+	}
 	s.executed++
 }
 
@@ -319,62 +347,48 @@ func (s *Session) Seek(schedule []int) error {
 
 // rewind positions a live session at its first k decisions, k below the
 // stack depth, without restarting the program (see Rewinding by
-// process). The moved bodies are re-fed in event order, each from its
-// own recorded responses; a request that differs from its recorded
-// event, or a moved body that is not where its first discarded event
-// found it, closes the session with ErrDiverged.
+// process). Each moved body is re-fed on its own, from its own recorded
+// responses — the order across processes does not matter — and a body
+// that diverges from its kept events, or that is not where its first
+// discarded event found it, closes the session with ErrDiverged.
 func (s *Session) rewind(k int) error {
 	l := s.loop
 	events := l.buf.tr.Events
-	cut := s.evAt[k]
+	cut := s.undo[k].ev
 	n := len(l.pending)
-	if cap(s.rw) < n {
-		s.rw = make([]refeed, n)
+	if cap(s.moved) < n {
+		s.moved = make([]bool, n)
 	}
-	rw := s.rw[:n]
-	for p := range rw {
-		rw[p] = refeed{next: -1}
-	}
+	moved := s.moved[:n]
+	clear(moved)
 	for _, d := range s.decisions[k:] {
 		_, p := DecodeEntry(d)
-		rw[p].moved = true
-	}
-	for i := cut; i < len(events); i++ {
-		if r := &rw[events[i].PID]; r.moved && r.next < 0 {
-			r.next = i
-		}
-	}
-
-	for p := range rw {
-		if !rw[p].moved {
-			continue
-		}
-		if l.pending[p].kind != 0 {
-			l.pending[p] = request{}
-			l.npending--
-			s.tr.kill(p)
-		}
-		if l.crashed[p] {
-			l.crashed[p] = false
-			l.ncrashed--
-		}
-		s.startBody(p)
+		moved[p] = true
 	}
 	var err error
-	for i := 0; i < cut && err == nil; i++ {
-		if rw[events[i].PID].moved {
-			err = s.refeedEvent(&events[i])
-		}
-	}
 	for p := 0; p < n && err == nil; p++ {
-		if rw[p].moved {
-			err = s.expect(p, &events[rw[p].next])
+		if !moved[p] {
+			continue
 		}
+		// Every event from the cut on belongs to a moved process, and
+		// each moved process has at least one.
+		pev := s.pev[p]
+		m := len(pev)
+		for m > 0 && int(pev[m-1]) >= cut {
+			m--
+		}
+		s.pev[p] = pev[:m]
+		err = s.refeedProc(p, pev[:m], &events[pev[m]])
 	}
 
+	for i := len(s.undo) - 1; i >= k; i-- {
+		if u := &s.undo[i]; u.cell >= 0 {
+			l.mem.vals[u.cell] = u.old
+		}
+	}
 	l.buf.tr.Events = events[:cut]
-	l.seq, l.steps = cut, s.stepAt[k]
-	s.decisions, s.evAt, s.stepAt = s.decisions[:k], s.evAt[:k], s.stepAt[:k]
+	l.seq, l.steps = cut, s.undo[k].steps
+	s.decisions, s.undo = s.decisions[:k], s.undo[:k]
 	l.readyStale = true
 	if err != nil {
 		l.stop = StopError
@@ -382,51 +396,58 @@ func (s *Session) rewind(k int) error {
 		s.close()
 		return err
 	}
-	l.mem.vals = l.buf.tr.ReplayValuesInto(l.mem.vals, cut)
 	s.finished = l.npending == 0
 	return nil
 }
 
-// startBody runs moved body p on a fresh coroutine up to its first
-// request, which becomes its pending event.
-func (s *Session) startBody(p int) {
-	if req, ok := s.tr.restart(p); ok {
-		s.loop.setPending(p, req)
-	}
-}
-
-// refeedEvent re-plays recorded event e on its moved process: a step's
-// request must match e and receives e's recorded response, a crash kills
-// the body and a restart starts it again. A moved body never returns
-// before the cut — a returned incarnation is never named again — so it
-// records no termination mark there, and a body that returns anyway
-// fails the check at its next event or at the cut.
-func (s *Session) refeedEvent(e *Event) error {
-	l, p := s.loop, e.PID
-	if err := s.expect(p, e); err != nil {
-		return err
-	}
-	switch e.Kind {
-	case KindCrash:
+// refeedProc runs moved process p again through its kept events (trace
+// indices kept, in order) and checks it then stands where next, its first
+// discarded event, found it. The kept events go to the body in segments
+// split at its crashes, one resume each: a crash finds the body parked at
+// a request and, if a restart follows, the next resume unwinds it and
+// runs it again.
+func (s *Session) refeedProc(p int, kept []int32, next *Event) error {
+	l := s.loop
+	events := l.buf.tr.Events
+	kill := l.pending[p].kind != 0
+	if kill {
 		l.pending[p] = request{}
 		l.npending--
-		s.tr.kill(p)
-		l.crashed[p] = true
-		l.ncrashed++
-	case KindRestart:
+	}
+	if l.crashed[p] {
 		l.crashed[p] = false
 		l.ncrashed--
-		s.startBody(p)
-	default:
-		if req, ok := s.tr.resume(p, response{ret: e.Ret, hasRet: e.HasRet}); ok {
-			l.pending[p] = req
-		} else {
-			l.pending[p] = request{}
-			l.npending--
-		}
 	}
-	s.executed++
-	return nil
+	for {
+		req, ok, fed := s.tr.refeed(p, kill, events, kept)
+		s.executed += fed
+		kept = kept[fed:]
+		if !ok {
+			break
+		}
+		if len(kept) == 0 || events[kept[0]].Kind != KindCrash {
+			l.setPending(p, req)
+			break
+		}
+		// A kept crash found the body parked at a request.
+		s.executed++
+		if len(kept) == 1 { // crashed at the cut
+			s.tr.kill(p)
+			l.crashed[p] = true
+			l.ncrashed++
+			kept = nil
+			break
+		}
+		// kept[1] is p's restart: the next resume unwinds the body and
+		// runs it again.
+		s.executed++
+		kept = kept[2:]
+		kill = true
+	}
+	if len(kept) > 0 { // the body issued another request, or returned
+		return s.expect(p, &events[kept[0]])
+	}
+	return s.expect(p, next)
 }
 
 // expect verifies that re-fed body p stands where recorded event e found
@@ -533,7 +554,8 @@ func (s *Session) restart() error {
 	s.loop, s.tr = loop, t
 	s.err = nil
 	s.closed = false
-	s.decisions, s.evAt, s.stepAt = s.decisions[:0], s.evAt[:0], s.stepAt[:0]
+	s.decisions, s.undo = s.decisions[:0], s.undo[:0]
+	s.resetEvents()
 	loop.absorb(t)
 	s.finished = loop.npending == 0
 	return nil
@@ -579,8 +601,9 @@ func (s *Session) Trace() *Trace {
 	return tr
 }
 
-// Close unwinds every process still suspended at a pending event. It is
-// idempotent and must be called before abandoning an unfinished session.
+// Close unwinds every process still suspended at a pending event and ends
+// the session's coroutines. It is idempotent and must be called before
+// abandoning a session, finished or not.
 // Close does not erase the decision stack: a closed session can be
 // revived with TruncateTo or Seek.
 func (s *Session) Close() {

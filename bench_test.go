@@ -421,8 +421,8 @@ func BenchmarkSimExhaustiveCheck(b *testing.B) {
 	// algorithm for two processes in each engine, plus DPOR with four
 	// stage-pass goroutines (on a single-core machine the workers=4-dpor
 	// row measures pure coordination overhead; on multi-core it measures
-	// the speedup). The other engines ignore Workers, so they have no
-	// workers=4 row.
+	// the speedup). The reference ignores Workers, so it has no workers=4
+	// row.
 	build := func() (*cfc.Memory, []cfc.ProcFunc, error) {
 		alg := cfc.Peterson2P()
 		mem := cfc.NewMemory(alg.Model())
@@ -438,13 +438,11 @@ func BenchmarkSimExhaustiveCheck(b *testing.B) {
 	modes := []struct {
 		name    string
 		workers int
-		por     bool
 		dpor    bool
 	}{
-		{"workers=1", 1, false, false},
-		{"workers=1-por", 1, true, false},
-		{"workers=1-dpor", 1, false, true},
-		{"workers=4-dpor", 4, false, true},
+		{"workers=1", 1, false},
+		{"workers=1-dpor", 1, true},
+		{"workers=4-dpor", 4, true},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -453,7 +451,6 @@ func BenchmarkSimExhaustiveCheck(b *testing.B) {
 				res, err := cfc.Explore(build, cfc.CheckMutualExclusion, cfc.CheckOptions{
 					MaxDepth:      80,
 					CollapseSpins: true,
-					POR:           m.por,
 					DPOR:          m.dpor,
 					Symmetry:      m.dpor,
 					Workers:       m.workers,

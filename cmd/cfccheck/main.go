@@ -10,11 +10,10 @@
 //	cfccheck -kind mutex          # only mutual exclusion
 //	cfccheck -kind naming -crash  # naming with crash injection
 //	cfccheck -workers 1           # one job at a time, on one goroutine
-//	cfccheck -dpor=false          # static ample-set POR instead of DPOR
-//	cfccheck -dpor=false -por=false  # unreduced reference exploration
+//	cfccheck -dpor=false          # the sound reference exploration instead of DPOR
 //	cfccheck -sym=false           # DPOR without symmetry reduction
 //	cfccheck -only splitter       # jobs whose name contains "splitter"
-//	cfccheck -pordiff             # three-way reduction differential gate
+//	cfccheck -pordiff             # reference vs DPOR differential gate
 //	cfccheck -serve :9401         # coordinate the portfolio over the fabric
 //	cfccheck -join host:9401      # join a coordinator as a worker
 //	cfccheck -serve :9401 -shards 2              # DPOR jobs as distributed waves (slower)
@@ -27,24 +26,30 @@
 // -workers k (default: all cores) explores up to k jobs at once. With
 // J jobs, each gets k / min(k, J) as its check.Options.Workers, the
 // goroutines of DPOR's stage pass, so a lone -only job still uses every
-// core under DPOR; the other engines explore each job on one goroutine.
+// core under DPOR; the reference explores each job on one goroutine.
 // Rows are printed in job order, and every exploration is deterministic,
 // so the output is byte-identical at any -workers.
 //
 // -dpor (default on) selects dynamic partial-order reduction
 // (source-DPOR, check/dpor.go) with pid-symmetry canonicalisation of
 // the visited set (-sym=false turns the latter off; it only engages on
-// programs that declare a symmetry group anyway). -dpor=false falls
-// back to the static ample-set POR of earlier revisions, and
-// additionally -por=false to the exhaustive reference mode.
+// programs that declare a symmetry group anyway). DPOR is not sound:
+// its handling of revisited states proves two seeded broken locks that
+// the reference refutes (see check.Options.DPOR), so a "proved (DPOR)"
+// row is not a proof. -dpor=false runs the reference exploration, which
+// branches on every live process at every state; it is the sound
+// engine, and its "proved (exhaustive)" rows are proofs.
 //
-// -pordiff runs every job three ways — unreduced reference, static
-// POR, and DPOR(+symmetry per -sym) — and fails unless all verdicts
-// agree (replaying every witness when a violation is found), printing
-// one machine-parseable line per job with state counts, wall-clock and
-// reduction ratios — the soundness gate CI runs on the portfolio. Jobs
-// run side by side as in a plain check; a job's three legs run one
-// after another.
+// -pordiff runs every job two ways — the reference and DPOR(+symmetry
+// per -sym) — and fails unless the verdicts agree (replaying every
+// witness when a violation is found). It prints one machine-parseable
+// line per job with state counts, wall-clock and the reduction ratio,
+// and a summary whose max_dpor_ratio counts only the rows where neither
+// leg was truncated. It is the differential gate CI runs on the
+// portfolio; on the correct algorithms both legs say "proved", so it
+// cannot show DPOR proving what the reference would refute. Jobs run
+// side by side as in a plain check; a job's two legs run one after
+// another.
 //
 // -serve and -join run the same portfolio over the distributed check
 // fabric (internal/fabric): the coordinator owns the job queue, workers
@@ -108,16 +113,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		states   = flags.Int("states", 1<<19, "state budget")
 		workers  = flags.Int("workers", runtime.GOMAXPROCS(0), "explore up to this many jobs at once; a job gets workers/(jobs at once) DPOR stage-pass goroutines (1 = one job at a time on one goroutine)")
 		collapse = flags.Bool("collapse", true, "collapse pure spin-wait cycles into one state (-collapse=false explores the raw transition graph)")
-		por      = flags.Bool("por", true, "with -dpor=false: static partial-order reduction (-por=false = unreduced reference mode)")
-		porauto  = flags.Bool("porauto", true, "with -dpor=false: fall back to the unreduced exploration when the static reduction is unprofitable")
-		dpor     = flags.Bool("dpor", true, "dynamic partial-order reduction (source-DPOR; -dpor=false selects the static -por path)")
+		dpor     = flags.Bool("dpor", true, "dynamic partial-order reduction (source-DPOR; not sound: it proves seeded broken locks that the reference refutes); -dpor=false runs the sound reference exploration")
 		sym      = flags.Bool("sym", true, "with -dpor: canonicalise the visited set under declared pid symmetry")
 		only     = flags.String("only", "", "only jobs whose name contains this substring")
-		pordiff  = flags.Bool("pordiff", false, "three-way differential gate: reference vs static POR vs DPOR, require agreeing verdicts, report reduction ratios")
+		pordiff  = flags.Bool("pordiff", false, "differential gate: reference vs DPOR, require agreeing verdicts, report reduction ratios")
 
 		serve      = flags.String("serve", "", "coordinate the portfolio over the distributed fabric, listening at this TCP address")
 		join       = flags.String("join", "", "join a fabric coordinator at this TCP address as a worker")
-		shards     = flags.Int("shards", 0, "with -serve: >1 splits each DPOR job across the workers as expansion waves (other jobs travel whole); a wave costs a round trip and a barrier, so this is slower than whole jobs unless one job outgrows a worker")
+		shards     = flags.Int("shards", 0, "with -serve: >1 splits each DPOR job (not sound, see -dpor) across the workers as expansion waves, while reference jobs travel whole; a wave costs a round trip and a barrier, so this is slower than whole jobs unless one job outgrows a worker")
 		jobtimeout = flags.Duration("jobtimeout", 5*time.Minute, "with -serve: abandon (DEGRADED) a job not completed this long after dispatch (0 = never)")
 		cpuprofile = flags.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	)
@@ -166,8 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		opts := check.Options{
 			MaxDepth: *depth, MaxStates: *states,
-			CollapseSpins: *collapse, POR: *por, PORAuto: *porauto,
-			DPOR: *dpor, Symmetry: *dpor && *sym,
+			CollapseSpins: *collapse, DPOR: *dpor, Symmetry: *dpor && *sym,
 		}
 		if w.Kind == fleet.KindTask {
 			// One-shot tasks admit crash branching; a crashed spinning
@@ -286,17 +288,6 @@ func printResult(w io.Writer, name string, opts check.Options, res check.Result)
 			status = "proved (" + engine + ")"
 		}
 		extra = fmt.Sprintf("  %6d reduced nodes", res.ReducedNodes)
-	} else if opts.POR && !res.PORDisabled {
-		status = "no violation (POR)"
-		if !res.Truncated {
-			status = "proved (POR-reduced)"
-		}
-		extra = fmt.Sprintf("  %6d reduced nodes", res.ReducedNodes)
-	} else if res.PORDisabled {
-		status = "proved (POR-auto: reference kept)"
-		if res.Truncated {
-			status = "no violation (POR-auto: reference kept)"
-		}
 	}
 	fmt.Fprintf(w, "%-40s %-32s %7d states %6d runs%s\n", name, status, res.States, res.Runs, extra)
 	return false
@@ -370,25 +361,21 @@ func runServe(jobs []job, addr string, shards int, jobTimeout time.Duration, std
 	return 0
 }
 
-// runPORDiff is the soundness gate: every job explored three ways with
-// otherwise identical options — unreduced reference, static ample-set
-// POR, and source-DPOR (with symmetry canonicalisation when sym is set
-// and the program declares a group). All runs must agree on the
-// verdict; when a violation is found, every witness schedule is
-// replayed on a fresh program instance and must reproduce it. One
-// machine-parseable line per job (scripts/bench.sh turns them into the
-// BENCH record's por and dpor sections). Up to k jobs run at once, as in
-// a plain check.
+// runPORDiff is the differential gate: every job explored two ways with
+// otherwise identical options — the reference, and source-DPOR (with
+// symmetry canonicalisation when sym is set and the program declares a
+// group). Both must agree on the verdict; when a violation is found,
+// each witness schedule is replayed on a fresh program instance and
+// must reproduce it. One machine-parseable line per job
+// (scripts/bench.sh turns them into the BENCH record's dpor section).
+// Up to k jobs run at once, as in a plain check.
 func runPORDiff(jobs []job, k int, sym bool, stdout, stderr io.Writer) int {
-	ratios := make([][2]float64, len(jobs)) // per job: reference/POR and reference/DPOR states
+	// Per job: reference/DPOR states where neither leg was truncated (a
+	// count cut by the state budget is no reduction), else 0.
+	ratios := make([]float64, len(jobs))
 	failed := runJobs(jobs, k, stdout, stderr, func(i int, j job, out, errOut io.Writer) (failed int) {
-		// The differential compares pure explorations; PORAuto would
-		// silently substitute the reference on the static side and make
-		// the diff vacuous.
 		refOpts := j.opts
-		refOpts.POR, refOpts.PORAuto, refOpts.DPOR, refOpts.Symmetry = false, false, false, false
-		porOpts := refOpts
-		porOpts.POR = true
+		refOpts.DPOR, refOpts.Symmetry = false, false
 		dporOpts := refOpts
 		dporOpts.DPOR, dporOpts.Symmetry = true, sym
 
@@ -400,7 +387,6 @@ func runPORDiff(jobs []job, k int, sym bool, stdout, stderr io.Writer) int {
 		}
 		legs := []*leg{
 			{name: "reference", opts: refOpts},
-			{name: "POR", opts: porOpts},
 			{name: "DPOR", opts: dporOpts},
 		}
 		for _, l := range legs {
@@ -413,19 +399,18 @@ func runPORDiff(jobs []job, k int, sym bool, stdout, stderr io.Writer) int {
 				return 1
 			}
 		}
-		ref, por, dpor := legs[0].res, legs[1].res, legs[2].res
+		ref, dpor := legs[0].res, legs[1].res
 
 		verdict := "agree"
-		anyTrunc := ref.Truncated || por.Truncated || dpor.Truncated
+		anyTrunc := ref.Truncated || dpor.Truncated
 		switch {
-		case (ref.Violation == nil) != (por.Violation == nil) ||
-			(ref.Violation == nil) != (dpor.Violation == nil):
+		case (ref.Violation == nil) != (dpor.Violation == nil):
 			// A truncated exploration may legitimately miss a violation
 			// another run reaches: the comparison is vacuous, not unsound.
 			if anyTrunc {
 				verdict = "incomparable-truncated"
-				fmt.Fprintf(errOut, "%-40s WARNING: verdicts differ under truncation (ref=%v por=%v dpor=%v); raise -depth/-states for a meaningful diff\n",
-					j.name, ref.Truncated, por.Truncated, dpor.Truncated)
+				fmt.Fprintf(errOut, "%-40s WARNING: verdicts differ under truncation (ref=%v dpor=%v); raise -depth/-states for a meaningful diff\n",
+					j.name, ref.Truncated, dpor.Truncated)
 			} else {
 				verdict = "DISAGREE"
 				failed++
@@ -443,27 +428,25 @@ func runPORDiff(jobs []job, k int, sym bool, stdout, stderr io.Writer) int {
 				}
 			}
 		}
-		ratio, dporRatio := 0.0, 0.0
-		if por.States > 0 {
-			ratio = float64(ref.States) / float64(por.States)
-		}
+		dporRatio := 0.0
 		if dpor.States > 0 {
 			dporRatio = float64(ref.States) / float64(dpor.States)
 		}
-		ratios[i] = [2]float64{ratio, dporRatio}
-		fmt.Fprintf(out, "PORDIFF name=%s verdict=%s por_states=%d ref_states=%d ratio=%.2f por_ms=%d ref_ms=%d reduced_nodes=%d "+
-			"dpor_states=%d dpor_runs=%d dpor_ratio=%.2f dpor_ms=%d dpor_reduced=%d sym=%v truncated=%v/%v/%v\n",
-			j.name, verdict, por.States, ref.States, ratio, legs[1].ms, legs[0].ms, por.ReducedNodes,
-			dpor.States, dpor.Runs, dporRatio, legs[2].ms, dpor.ReducedNodes, dpor.SymmetryApplied,
-			por.Truncated, ref.Truncated, dpor.Truncated)
+		if !anyTrunc {
+			ratios[i] = dporRatio
+		}
+		fmt.Fprintf(out, "PORDIFF name=%s verdict=%s ref_states=%d ref_ms=%d "+
+			"dpor_states=%d dpor_runs=%d dpor_ratio=%.2f dpor_ms=%d dpor_reduced=%d sym=%v truncated=%v/%v\n",
+			j.name, verdict, ref.States, legs[0].ms,
+			dpor.States, dpor.Runs, dporRatio, legs[1].ms, dpor.ReducedNodes, dpor.SymmetryApplied,
+			ref.Truncated, dpor.Truncated)
 		return failed
 	})
-	var maxRatio, maxDPORRatio float64
+	var maxDPORRatio float64
 	for _, r := range ratios {
-		maxRatio = max(maxRatio, r[0])
-		maxDPORRatio = max(maxDPORRatio, r[1])
+		maxDPORRatio = max(maxDPORRatio, r)
 	}
-	fmt.Fprintf(stdout, "PORDIFF-SUMMARY jobs=%d failed=%d max_ratio=%.2f max_dpor_ratio=%.2f\n", len(jobs), failed, maxRatio, maxDPORRatio)
+	fmt.Fprintf(stdout, "PORDIFF-SUMMARY jobs=%d failed=%d max_dpor_ratio=%.2f\n", len(jobs), failed, maxDPORRatio)
 	if failed > 0 {
 		fmt.Fprintf(stderr, "cfccheck: reduction differential failed on %d job(s)\n", failed)
 		return 1

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"slices"
 	"strconv"
 	"testing"
@@ -21,7 +22,7 @@ func TestRowsIdenticalAtAnyWorkers(t *testing.T) {
 	}{
 		{
 			name: "n3-lamport-fast-reference-truncated",
-			args: []string{"-n", "3", "-only", "lamport-fast", "-dpor=false", "-por=false", "-states", "20000"},
+			args: []string{"-n", "3", "-only", "lamport-fast", "-dpor=false", "-states", "20000"},
 			must: "no violation found (truncated)",
 		},
 		{name: "n2-portfolio", must: "proved (DPOR+sym)"},
@@ -59,6 +60,28 @@ func TestOnlyMatchingNothingPrintsNothing(t *testing.T) {
 		code := run([]string{"-only", "no-such-job", "-workers", strconv.Itoa(k)}, &out, &errOut)
 		if code != 0 || out.Len() != 0 || errOut.Len() != 0 {
 			t.Fatalf("-workers %d: exit %d, stdout %q, stderr %q; want exit 0 and no output", k, code, out.String(), errOut.String())
+		}
+	}
+}
+
+// TestPORDiffSummarySkipsTruncatedRows: the summary's max_dpor_ratio
+// must not divide by a reference count the state budget cut. At n = 3
+// the reference stops lamport-fast at 20000 states, where DPOR reports
+// 77, a ratio of 259.74 that is no reduction; the maximum must come
+// from the untruncated lamport-fast+taf-tree row instead.
+func TestPORDiffSummarySkipsTruncatedRows(t *testing.T) {
+	var out, errOut bytes.Buffer
+	args := []string{"-pordiff", "-n", "3", "-only", "lamport-fast", "-states", "20000", "-workers", "1"}
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, errOut.String())
+	}
+	for _, want := range []string{
+		`(?m)^PORDIFF name=mutex/lamport-fast .* ref_states=20000 .* dpor_ratio=259\.74 .* truncated=true/false$`,
+		`(?m)^PORDIFF name=mixed/lamport-fast\+taf-tree .* dpor_ratio=75\.06 .* truncated=false/false$`,
+		`(?m)^PORDIFF-SUMMARY jobs=2 failed=0 max_dpor_ratio=75\.06$`,
+	} {
+		if !regexp.MustCompile(want).Match(out.Bytes()) {
+			t.Errorf("output does not match %s:\n%s", want, out.String())
 		}
 	}
 }

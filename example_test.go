@@ -72,10 +72,11 @@ func ExampleExplore() {
 // ExampleExplore_reduction shows partial-order reduction at work: two
 // processes write three values each to private registers, so every
 // interleaving permutes commuting steps. The reference exploration walks
-// the full 4x4 lattice of positions; with CheckOptions.POR the explorer
-// proves the same verdict along a single ample order, and the ratio of
-// the two state counts is the reduction cfccheck -pordiff reports per
-// portfolio entry.
+// the full 4x4 lattice of positions; with CheckOptions.DPOR the explorer
+// sees no race and reaches the same verdict along a single order, and
+// the ratio of the two state counts is the reduction cfccheck -pordiff
+// reports per portfolio entry. (DPOR is not sound in general; see
+// CheckOptions.DPOR.)
 func ExampleExplore_reduction() {
 	build := func() (*cfc.Memory, []cfc.ProcFunc, error) {
 		mem := cfc.NewMemory(cfc.AtomicRegisters)
@@ -96,14 +97,14 @@ func ExampleExplore_reduction() {
 		fmt.Println("explore failed:", err)
 		return
 	}
-	por, err := cfc.Explore(build, prop, cfc.CheckOptions{MaxDepth: 20, POR: true})
+	dpor, err := cfc.Explore(build, prop, cfc.CheckOptions{MaxDepth: 20, DPOR: true})
 	if err != nil {
 		fmt.Println("explore failed:", err)
 		return
 	}
 	fmt.Printf("reference: %d states, %d runs\n", ref.States, ref.Runs)
-	fmt.Printf("reduced:   %d states, %d run\n", por.States, por.Runs)
-	fmt.Printf("reduction: %.1fx\n", float64(ref.States)/float64(por.States))
+	fmt.Printf("reduced:   %d states, %d run\n", dpor.States, dpor.Runs)
+	fmt.Printf("reduction: %.1fx\n", float64(ref.States)/float64(dpor.States))
 	// Output:
 	// reference: 15 states, 2 runs
 	// reduced:   6 states, 1 run

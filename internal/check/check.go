@@ -62,52 +62,35 @@ type Options struct {
 	// values): every algorithm in this repository except the backoff
 	// variants qualifies. It is off by default.
 	CollapseSpins bool
-	// POR enables partial-order reduction: node expansion is delegated to
-	// an ample-set + sleep-set provider (see por.go) that explores a
-	// single step branch wherever some process's pending step is
-	// property-invisible and provably commutes — per the opset
-	// independence oracle — with every other live process's pending step,
-	// instead of branching on every ready process. Phase marks and
-	// outputs, which the safety properties observe, are never pruned
-	// alone, and crash branches are never pruned at all.
+	// POR is ignored.
 	//
-	// Soundness contract: the property must depend only on the events the
-	// metrics properties depend on — the interleaving of marks, outputs
-	// and crashes, and each process's own event subsequence — not on the
-	// global order of accesses by different processes. Any violation
-	// reported under POR is real (POR only omits schedules; every witness
-	// replays), and a reduced exploration that reports no violation has
-	// checked a sufficient subset under that contract; -por=false (the
-	// zero value here) is the exhaustive reference mode, and the cfccheck
-	// -pordiff gate diffs the two verdicts across the whole portfolio.
-	//
-	// Under POR, States counts expanded (state, sleep set) nodes — the
-	// unit of work the reduced search actually performs — and Runs counts
-	// the maximal schedules of the reduced tree, so both are expected to
-	// be (much) smaller than the reference exploration's; they remain
-	// deterministic.
-	// Reduction requires at most 64 processes (sleep sets are pid
-	// bitmasks); wider programs silently fall back to the full provider.
+	// Deprecated: the static ample-set reduction it selected is gone;
+	// with DPOR false the exploration is the reference. The field stays
+	// only because the end-to-end benchmark (perfbench) still sets it;
+	// the benchmark change of ROADMAP item 2, step 1 deletes it.
 	POR bool
-	// DPOR enables dynamic partial-order reduction (source-DPOR, see
-	// dpor.go): instead of the static ample-set provider, every node
-	// starts with a single step branch and backtrack points are computed
+	// DPOR selects dynamic partial-order reduction (source-DPOR, see
+	// dpor.go) instead of the reference depth-first search: every node
+	// starts with a single step branch, and backtrack points are computed
 	// from the conflicts each executed schedule actually exhibits — a
 	// race between two steps of the path that the execution's own
 	// happens-before relation does not order schedules an alternative
-	// first step at the earlier node. Sleep sets and the (state, sleep)
-	// visited key carry over from POR, and completed explorations are
-	// bit-identical at any Workers count.
+	// first step at the earlier node. The visited set is keyed by (state,
+	// sleep set), and completed explorations are bit-identical at any
+	// Workers count.
 	//
-	// DPOR takes precedence over POR when both are set (cfccheck's
-	// three-way -pordiff gate runs them separately on purpose). The
-	// soundness contract is POR's: properties must not observe the
-	// global order of accesses by different processes; any violation
-	// reported is real and every witness replays. Like POR it requires
-	// at most 64 processes and silently falls back beyond. PORAuto does
-	// not apply to DPOR: the dynamic reduction needs no profitability
-	// fallback, and the known tas/ttas inflation is fixed at the source
-	// by live-normalising the sleep mask in the visited key.
+	// DPOR is not sound. Where it prunes a revisited state it only
+	// approximates the races the pruned subtree would have found (the
+	// visited-hit compensation, see the stateful-DPOR caveat in dpor.go),
+	// and that approximation proves two broken locks the reference
+	// refutes: Lamport's fast mutex that ignores its read of x after
+	// writing y, and Peterson's lock with its turn write before its flag
+	// write (TestReferenceRefutesSeededMutants pins both). A violation
+	// DPOR reports is real and its witness replays, but its "proved" is
+	// not a proof; false, the default, is the sound reference. Properties
+	// must not observe the global order of accesses by different
+	// processes. DPOR requires at most 64 processes (sleep sets are pid
+	// bitmasks) and runs the reference beyond.
 	DPOR bool
 	// Symmetry canonicalises the visited key under the program's
 	// declared pid-permutation group before lookup, so one
@@ -121,20 +104,12 @@ type Options struct {
 	// would make the group too large. Result.SymmetryApplied reports
 	// whether it was active.
 	Symmetry bool
-	// PORAuto tempers the known failure mode of (state, sleep)-keyed
-	// reduction: algorithms whose pending steps almost always conflict
-	// (tas/ttas — every process hammers one test-and-set bit) get no
-	// ample-set pruning, yet still pay the sleep-set key splitting, which
-	// inflates States ~10% over the exhaustive reference. With PORAuto
-	// (requires POR; otherwise ignored) the exploration first runs
-	// reduced; if it found a violation, that is returned as-is (POR
-	// verdicts are sound). If the reduction proved unprofitable — fewer
-	// than a quarter of the expanded nodes were actually reduced — the
-	// exhaustive reference exploration runs too, and the smaller of the
-	// two results is returned, with Result.PORDisabled set when the
-	// reference won. The decision is a pure function of the
-	// (deterministic) reduced exploration, so PORAuto verdicts and counts
-	// are reproducible.
+	// PORAuto is ignored.
+	//
+	// Deprecated: the fallback it selected went with the static
+	// reduction. The field stays only because the end-to-end benchmark
+	// (perfbench) still sets it; the benchmark change of ROADMAP item 2,
+	// step 1 deletes it.
 	PORAuto bool
 	// Workers is the number of goroutines in DPOR's stage pass, each
 	// owning a private program instance (one Builder call) and live
@@ -142,9 +117,9 @@ type Options struct {
 	// goroutine. The stage pass is pure and the serial commit pass makes
 	// every order-sensitive decision, so results — truncated and
 	// violating explorations included — are bit-identical at any value.
-	// Every other engine explores on the calling goroutine and ignores
-	// Workers; to use several cores on them, explore several jobs at once
-	// (as cmd/cfccheck -workers does).
+	// The reference exploration runs on the calling goroutine and
+	// ignores Workers; to use several cores on it, explore several jobs
+	// at once (as cmd/cfccheck -workers does).
 	Workers int
 }
 
@@ -171,17 +146,13 @@ type Result struct {
 	// Truncated reports that a bound (depth or states) was hit, so the
 	// exploration is not a full proof.
 	Truncated bool
-	// ReducedNodes counts the expanded nodes whose branch set was a
-	// strict subset of the enabled steps (ample-set or sleep-set
-	// pruning). Zero without Options.POR.
+	// ReducedNodes counts the DPOR nodes that completed without
+	// exploring every live process's step (backtracking or sleep sets
+	// left some out). Zero for the reference exploration, which expands
+	// every node in full.
 	ReducedNodes int
 	// Violation is the first property failure found, or nil.
 	Violation *Violation
-	// PORDisabled reports that Options.PORAuto fell back to the
-	// exhaustive reference exploration because the reduction was
-	// unprofitable for this program; the counts describe the reference
-	// run.
-	PORDisabled bool
 	// SymmetryApplied reports that pid-symmetry canonicalisation was
 	// active: Options.Symmetry was set under DPOR and the program
 	// declared a matching symmetry group.
@@ -191,7 +162,7 @@ type Result struct {
 // Explore exhaustively explores the interleavings of the program under
 // the property. It returns an error only for configuration problems; a
 // property failure is reported in Result.Violation. Options.DPOR selects
-// the wave engine (dpor.go); every other exploration is the serial
+// the wave engine (dpor.go); otherwise the exploration is the reference
 // depth-first search on the calling goroutine.
 func Explore(build Builder, prop Property, opts Options) (Result, error) {
 	maxDepth := opts.MaxDepth
@@ -205,42 +176,11 @@ func Explore(build Builder, prop Property, opts Options) (Result, error) {
 	if opts.DPOR {
 		return exploreDPOR(build, prop, opts, maxDepth, maxStates)
 	}
-	if opts.POR && opts.PORAuto {
-		return exploreAuto(build, prop, opts, maxDepth, maxStates)
-	}
 	return exploreSerial(build, prop, opts, maxDepth, maxStates)
 }
 
-// exploreAuto implements Options.PORAuto: a reduced exploration first,
-// then — only when the reduction was unprofitable — the exhaustive
-// reference, keeping whichever visited fewer states, or the reference
-// when it found a violation (marked PORDisabled). The fabric ships
-// PORAuto jobs whole, so this is the decision's only copy.
-func exploreAuto(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
-	por, err := exploreSerial(build, prop, opts, maxDepth, maxStates)
-	if err != nil {
-		return Result{}, err
-	}
-	// Violations are sound under POR, and a healthy reduction (at least a
-	// quarter of expanded nodes reduced) is kept without paying for the
-	// reference run.
-	if por.Violation != nil || por.ReducedNodes*4 >= por.States {
-		return por, nil
-	}
-	ref := opts
-	ref.POR, ref.PORAuto = false, false
-	full, err := exploreSerial(build, prop, ref, maxDepth, maxStates)
-	if err != nil {
-		return Result{}, err
-	}
-	if full.Violation != nil || full.States < por.States {
-		full.PORDisabled = true
-		return full, nil
-	}
-	return por, nil
-}
-
-// exploreSerial is the single-goroutine depth-first explorer.
+// exploreSerial is the reference explorer: a depth-first search on one
+// goroutine that branches on every live process at every node.
 func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
 	e := &explorer{
 		prop:      prop,
@@ -252,10 +192,9 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 	if err := e.core.init(build, maxDepth, opts.CollapseSpins); err != nil {
 		return Result{}, err
 	}
-	e.provider, e.por = newProvider(opts, len(e.core.procs))
-	// A panic in an algorithm body, property or provider surfaces as a
-	// checker error carrying the schedule prefix being expanded, as in
-	// DPOR's stage pass (dexplorer.runStage).
+	// A panic in an algorithm body or the property surfaces as a checker
+	// error carrying the schedule prefix being expanded, as in DPOR's
+	// stage pass (dexplorer.runStage).
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -263,18 +202,17 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 				err = fmt.Errorf("check: panicked expanding schedule prefix %v: %v", prefix, r)
 			}
 		}()
-		return e.dfs(nil, 0)
+		return e.dfs(nil)
 	}()
 	e.core.close()
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		States:       len(e.visited),
-		Runs:         e.runs,
-		Truncated:    e.truncated,
-		ReducedNodes: e.reduced,
-		Violation:    e.violation,
+		States:    len(e.visited),
+		Runs:      e.runs,
+		Truncated: e.truncated,
+		Violation: e.violation,
 	}, nil
 }
 
@@ -284,18 +222,15 @@ type explorer struct {
 	opts      Options
 	maxDepth  int
 	maxStates int
-	provider  enabledProvider
-	por       bool
 
 	visited   map[uint64]struct{}
 	runs      int
-	reduced   int
 	peeked    int // sibling replays skipped by the batch peek
 	truncated bool
 	violation *Violation
 }
 
-func (e *explorer) dfs(schedule []int, sleep uint64) error {
+func (e *explorer) dfs(schedule []int) error {
 	if e.violation != nil {
 		return nil
 	}
@@ -328,26 +263,6 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	}
 
 	h := e.core.stateHash()
-	if e.por {
-		// A node is (state, sleep set): the same state arrived at with a
-		// different sleep set explores different branches, so the visited
-		// key must separate them — that keeps expansion a pure function
-		// of the node, and with it the exploration order-independent.
-		//
-		// The mask is first normalised: restricted to the live pids — a
-		// sleep bit of a terminated or crashed process is never consulted
-		// again (dead processes have no pending step to skip and, the
-		// checker never restarting, never revive), so two arrivals
-		// differing only in dead sleep bits expand identically and must
-		// share a key — and then conflicting sleepers are woken
-		// (normalizeSleep), which collapses the per-state key fan-out on
-		// conflict-heavy programs. Together these fix the tas/ttas state
-		// inflation PR 6 papered over with PORAuto: processes finishing
-		// at different points and single-cell conflicts used to strew
-		// distinct sleep masks over otherwise-equal states.
-		sleep = normalizeSleep(&e.core, e.core.pendingOps(), sleep&pidMask(live))
-		h = mix64(h, sleep)
-	}
 	if _, seen := e.visited[h]; seen {
 		return nil
 	}
@@ -357,13 +272,13 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	}
 	e.visited[h] = struct{}{}
 
-	// First branch first: the live session's decision stack still equals
-	// schedule here, so the child's Seek extends it by one event instead
-	// of replaying the prefix; a later sibling rewinds the session to
-	// this node, re-running only the processes that moved below it.
-	br, reduced := e.provider.branches(&e.core, live, schedule, sleep)
-	if reduced {
-		e.reduced++
+	// The branches, in order: a step of each live process in ascending
+	// pid order, then, with crash exploration, a crash of each (a live
+	// process has not crashed, and the checker never restarts one). Branch
+	// i is branchEntry(live, i).
+	nb := len(live)
+	if e.opts.ExploreCrashes {
+		nb *= 2
 	}
 
 	// Batch-peek the siblings before descending into any of them: every
@@ -378,20 +293,17 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	// (dfs returns before marking), so the peek can only skip children
 	// dfs would prune anyway; the depth guard keeps the boundary case
 	// (child at maxDepth must report Truncated) on the replay path.
-	// Non-POR explorations only: under POR the key mixes in the child's
-	// normalised sleep set, which is not known until the child's own
-	// pending steps are.
 	var skip []bool
-	if !e.por && len(schedule)+1 < e.maxDepth {
+	if len(schedule)+1 < e.maxDepth {
 		pend := e.core.pendingOps()
-		for i, b := range br {
-			key, ok := e.peekKey(b, live, pend)
+		for i := range nb {
+			key, ok := e.peekKey(branchEntry(live, i), live, pend)
 			if !ok {
 				continue
 			}
 			if _, seen := e.visited[key]; seen {
 				if skip == nil {
-					skip = make([]bool, len(br))
+					skip = make([]bool, nb)
 				}
 				skip[i] = true
 				e.peeked++
@@ -399,11 +311,15 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 		}
 	}
 
-	for i, b := range br {
+	// First branch first: the live session's decision stack still equals
+	// schedule here, so the child's Seek extends it by one event instead
+	// of replaying the prefix; a later sibling rewinds the session to
+	// this node, re-running only the processes that moved below it.
+	for i := range nb {
 		if skip != nil && skip[i] {
 			continue
 		}
-		if err := e.dfs(append(schedule, b.entry), b.sleep); err != nil {
+		if err := e.dfs(append(schedule, branchEntry(live, i))); err != nil {
 			return err
 		}
 		if e.violation != nil {
@@ -413,27 +329,37 @@ func (e *explorer) dfs(schedule []int, sleep uint64) error {
 	return nil
 }
 
-// peekKey computes the visited key the child reached via branch b would
-// derive for itself — stateHash over the child's cell values and
-// histories — without replaying the child. It reads the parent node's
-// fold (c.vals, c.hist, c.chain — valid since the parent's stateAt) and
-// the parent's pending steps: the child differs from the parent in at
-// most one cell and in the branch process's history, whose canonical
-// length and chain digest follow from one appendLen (a collapsed append
-// is a prefix, whose digest is already in the chain). The auto
-// termination mark a completing step would add is kept out of histories
-// for exactly this purpose. ok is false when the branch cannot be peeked
-// (scratch misalignment or an unknown entry kind); the caller then
+// branchEntry is the schedule entry of a node's branch i (see
+// explorer.dfs): a step of live[i] for i < len(live), else a crash of
+// live[i-len(live)], in the Decisions encoding.
+func branchEntry(live []int, i int) int {
+	if i < len(live) {
+		return live[i]
+	}
+	return -live[i-len(live)] - 1
+}
+
+// peekKey computes the visited key the child reached via schedule entry
+// entry would derive for itself — stateHash over the child's cell values
+// and histories — without replaying the child. It reads the parent
+// node's fold (c.vals, c.hist, c.chain — valid since the parent's
+// stateAt) and the parent's pending steps: the child differs from the
+// parent in at most one cell and in the branch process's history, whose
+// canonical length and chain digest follow from one appendLen (a
+// collapsed append is a prefix, whose digest is already in the chain).
+// The auto termination mark a completing step would add is kept out of
+// histories for exactly this purpose. ok is false when the branch cannot
+// be peeked (scratch misalignment or an unknown entry); the caller then
 // replays it normally.
-func (e *explorer) peekKey(b branch, live []int, pend []sim.PendingOp) (key uint64, ok bool) {
+func (e *explorer) peekKey(entry int, live []int, pend []sim.PendingOp) (key uint64, ok bool) {
 	c := &e.core
 	var en histEntry
 	pid := -1
 	cell := int32(-1)
 	var newVal uint64
 	switch {
-	case b.entry >= 0 && b.entry < len(c.procs):
-		pid = b.entry
+	case entry >= 0 && entry < len(c.procs):
+		pid = entry
 		var po sim.PendingOp
 		found := false
 		for i, q := range live {
@@ -455,8 +381,8 @@ func (e *explorer) peekKey(b branch, live []int, pend []sim.PendingOp) (key uint
 			cell = po.Cell
 			newVal = cur&^mask | (next<<po.Shift)&mask
 		}
-	case b.entry < 0 && -b.entry-1 < len(c.procs):
-		pid = -b.entry - 1
+	case entry < 0 && -entry-1 < len(c.procs):
+		pid = -entry - 1
 		en = histEntry{kind: uint8(sim.KindCrash)}
 	default:
 		return 0, false

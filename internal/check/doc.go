@@ -71,49 +71,50 @@
 //
 // # Partial-order reduction
 //
-// Options.POR delegates node expansion to an ample-set + sleep-set
-// provider (por.go) instead of branching on every ready process. The
-// independence relation comes from three sources: the opset oracle
-// proves when two pending accesses commute (different cells, disjoint
-// bit-field footprints of one packed word, or a commuting operation
-// pair — a table brute-forced against Op.Apply), Local steps commute
-// with everything, and phase-mark/output steps are property-visible —
-// the safety properties observe their relative order — so they are
-// never pruned alone and two visible steps never commute. Where one
-// process's pending step commutes with every other live process's
-// pending step (and clears two dynamic footprint guards plus a cycle
-// proviso tied to the spin collapse), the node branches on that single
-// step; sleep sets then remove the remaining permutational duplicates.
-// Crash branches are never pruned.
+// The reference exploration (Options.DPOR false) reduces nothing: at
+// every node it branches on a step of each live process, then, with
+// Options.ExploreCrashes, on a crash of each, and it prunes only states
+// it has already visited. That makes it the sound engine — its "proved"
+// is a proof under the digest assumption above and, with spin collapse,
+// the collapse's own condition — and it is what cfccheck -dpor=false
+// runs.
 //
-// Reduced state counts are NOT comparable to -por=false counts: the
-// reduced exploration skips the interior states of commuting diamonds
-// and counts (state, sleep set) expansions, so States and Runs shrink —
-// that is the point — while verdicts must not change. The soundness
-// story is differential rather than proof-carrying (pending steps
-// cannot reveal a future conflict, so the ample choice is a heuristic
-// persistent-set approximation): any violation found under POR replays
-// to a real one, and cfccheck -pordiff re-checks the whole portfolio —
-// reference versus static POR versus DPOR — agreeing verdicts,
-// replaying witnesses — in CI on every push. The unreduced reference
-// run is always available: cfccheck -dpor=false -por=false, or zero
-// Options.POR/DPOR at the library level.
+// Options.DPOR reduces. Its independence relation (por.go) comes from
+// three sources: the opset oracle proves when two accesses commute
+// (different cells, disjoint bit-field footprints of one packed word, or
+// a commuting operation pair — a table brute-forced against Op.Apply),
+// Local steps commute with everything, and phase-mark/output steps are
+// property-visible — the safety properties observe their relative order
+// — so two visible steps never commute. Reduced state counts are not
+// comparable to the reference's: the reduced exploration skips the
+// interior states of commuting diamonds and counts (state, sleep set)
+// expansions.
+//
+// DPOR is not sound. Where it prunes a revisited state it approximates
+// the races the pruned subtree would have found (the stateful-DPOR
+// caveat in dpor.go), and the approximation proves two seeded broken
+// locks that the reference refutes: Lamport's fast mutex that ignores
+// its read of x after writing y, and Peterson's lock with its turn
+// write before its flag write (TestReferenceRefutesSeededMutants pins
+// both against the reference). A violation DPOR reports is real, and its
+// witness replays. cfccheck -pordiff compares the two engines' verdicts
+// across the portfolio in CI, and the differential fuzz harness
+// (fuzz_test.go) requires exact agreement on random loop-free programs
+// without phase marks. Neither gate holds DPOR to soundness: the
+// portfolio's algorithms are correct, so both engines say "proved" on
+// them, and coverage-guided fuzzing finds loop-free programs on which
+// DPOR misses a violation the reference finds (fuzz_test.go names one).
 //
 // # Dynamic partial-order reduction and symmetry
 //
-// Options.DPOR replaces the static provider with source-DPOR (dpor.go):
-// every node starts with a single step branch, and when an executed
-// schedule exhibits a conflict — two dependent accesses by different
-// processes, judged by the same opset oracle under a vector-clock
-// happens-before — a backtrack point is registered at the earliest node
-// that could have reordered it (the initials of the reordered suffix,
-// the source-set refinement). Because backtrack sets are computed from
-// conflicts each run actually exhibits rather than from pending steps,
-// the dynamic reduction needs no footprint guards and no profitability
-// fallback, and the differential fuzz harness (fuzz_test.go) holds it
-// to two-sided verdict agreement with the unreduced reference on
-// adversarial random programs — where the static heuristic is only held
-// to its documented one-sided contract (never inventing a violation).
+// Options.DPOR replaces the reference's full expansion with source-DPOR
+// (dpor.go): every node starts with a single step branch, and when an
+// executed schedule exhibits a conflict — two dependent accesses by
+// different processes, judged by the same opset oracle under a
+// vector-clock happens-before — a backtrack point is registered at the
+// earliest node that could have reordered it (the initials of the
+// reordered suffix, the source-set refinement). Backtrack sets come from
+// conflicts each run actually exhibits rather than from pending steps.
 //
 // The race analysis reads only what a step can depend on. Each worker
 // keeps the decoded path of the schedule it last analysed, with its
@@ -148,21 +149,21 @@
 // The same split is the checker's only distribution seam (wave.go):
 // WaveProbers run the stage pass in other processes and a WaveMaster
 // runs the commit, so the fabric (internal/fabric) spreads one DPOR
-// exploration over workers wave by wave. Explorations with the other
-// engines are not split; the fabric ships each one whole to a worker,
-// which runs Explore unchanged.
+// exploration over workers wave by wave. Reference explorations are
+// not split; the fabric ships each one whole to a worker, which runs
+// Explore unchanged.
 //
 // # Where exploration runs
 //
-// Two explorers share the replay core. The reference and static-POR
-// explorations are a recursive depth-first search on the calling
-// goroutine. The DPOR engine runs its stage pass on Options.Workers
+// Two explorers share the replay core. The reference exploration is a
+// recursive depth-first search on the calling goroutine. The DPOR
+// engine runs its stage pass on Options.Workers
 // goroutines, each with a private program instance (one Builder call
 // each) and live session, and its commit pass on the calling goroutine;
 // only the commit pass touches the visited set. Both are deterministic:
 // the same options give the same Result, truncated or violating
-// explorations included, at any Workers count. To spread explorations
-// with the other engines over cores, explore several of them at once —
+// explorations included, at any Workers count. To spread reference
+// explorations over cores, explore several of them at once —
 // cmd/cfccheck -workers runs that many portfolio jobs side by side and
 // prints their rows in job order.
 package check

@@ -13,14 +13,13 @@ import (
 
 // This file is the dynamic partial-order reduction engine
 // (Options.DPOR): a source-DPOR-style explorer that computes backtrack
-// sets from the conflicts each executed schedule actually exhibits,
-// instead of the static ample-set guesswork of por.go.
+// sets from the conflicts each executed schedule actually exhibits.
 //
 // # Why dynamic
 //
-// The static provider must decide from a node's *pending* steps alone
-// whether postponing a process is safe, and needs two footprint
-// heuristics to paper over conflicts that are not yet pending. DPOR
+// A reduction that decides from a node's *pending* steps alone whether
+// postponing a process is safe cannot see a conflict that is not yet
+// pending: opaque process bodies hide their future accesses. DPOR
 // inverts the burden of proof: every node starts with a single step
 // branch, and whenever an executed step is found to race with an
 // earlier step of the path — dependent per the brute-force-proven
@@ -43,8 +42,9 @@ import (
 //     step against the path, check the property, and — for nodes that
 //     may expand — compute the visited key, choose the first child batch
 //     (the smallest awake pid whose step progresses under spin collapse,
-//     the cycle proviso of por.go, else every awake pid), and precompute
-//     the compensation ghosts a revisit would need. The pass is PURE: a
+//     else every awake pid: the cycle proviso, see
+//     replayCore.progresses), and precompute the compensation ghosts a
+//     revisit would need. The pass is PURE: a
 //     task's WaveReport is a function of its schedule and inherited
 //     sleep mask alone. Race-initials masks for ancestors come back as
 //     (depth, mask) pairs instead of being written anywhere.
@@ -132,17 +132,23 @@ import (
 // additions to current-path ancestors would be lost. The engine
 // compensates at every visited hit: the hit state's pending steps, and
 // one step per recorded access shape in each live process's history
-// (the same "algorithms revisit their cells" observation behind
-// por.go's histConflicts), are race-checked against the path as if they
-// were about to execute, and their additions applied. This is an
-// approximation, not a proof: a pruned subtree could in principle
-// perform an access shape its history has not shown yet. It is exactly
-// the class of risk the static reduction already carries, and it is
-// fenced the same way — violations under DPOR are always real (only
-// schedules are omitted, never invented), every witness replays, and
-// the three-way cfccheck -pordiff gate re-proves verdict agreement
-// against both the static reduction and the unreduced reference across
-// the whole portfolio, crash variants included, in CI.
+// (the algorithms under check revisit their cells), are race-checked
+// against the path as if they were about to execute, and their
+// additions applied. This is an approximation, not a proof: a pruned
+// subtree can perform an access shape its history has not shown yet,
+// and the history ghosts skip phase marks and outputs, whose order is
+// what the safety properties observe. The gap is real: the
+// compensation proves two broken locks that the reference refutes at
+// n = 2 — Lamport's fast mutex that ignores its read of x after writing
+// y, and Peterson's lock with its turn write before its flag write
+// (TestReferenceRefutesSeededMutants pins both against the reference).
+// So DPOR is not sound. A violation it reports is real (only schedules
+// are omitted, never invented) and every witness replays, but its
+// "proved" is not a proof. The sound exploration is the reference
+// (Options.DPOR false, cfccheck -dpor=false). The two-way cfccheck
+// -pordiff gate compares DPOR's verdicts with it across the portfolio,
+// crash variants included, in CI; on the portfolio's correct algorithms
+// both say "proved", so that gate cannot show the gap.
 //
 // Symmetry reduction (symmetry.go) composes here: the visited key is
 // canonicalised under the declared pid-permutation group before lookup,
@@ -390,8 +396,8 @@ func newDExplorer(prop Property, opts Options, maxDepth, maxStates, nprocs int, 
 // serves every worker count: Workers <= 1 runs the same wave loop on
 // one worker, and explorations are bit-identical across counts —
 // including which violation is reported and where a budget truncates.
-// Programs wider than 64 processes fall back to the static dispatch
-// (pid bitmasks), mirroring newProvider's guard.
+// Programs wider than 64 processes run the reference exploration
+// instead (sleep sets are pid bitmasks).
 func exploreDPOR(build Builder, prop Property, opts Options, maxDepth, maxStates int) (Result, error) {
 	workers := opts.Workers
 	if workers < 1 {
@@ -551,8 +557,9 @@ func (cfg *dconfig) stage(core *replayCore, sc *dscratch, sched []int, nodeSleep
 		// First batch: the smallest awake pid whose step progresses
 		// under spin collapse, else every awake pid (the node sits on a
 		// potential cycle and must be expanded in full — see the cycle
-		// proviso in por.go). Which single step starts is otherwise
-		// arbitrary: races schedule whatever else turns out to matter.
+		// proviso at replayCore.progresses). Which single step starts is
+		// otherwise arbitrary: races schedule whatever else turns out to
+		// matter.
 		init := -1
 		for _, po := range pend {
 			if awake&(1<<uint(po.PID)) == 0 {
@@ -857,8 +864,8 @@ func (cfg *dconfig) syncPath(sc *dscratch, core *replayCore, tr *sim.Trace, sche
 	// cross-process termination order (mutual exclusion reads the
 	// Try/CS/Exit/Remainder marks, outputs are set-valued, and
 	// ExpectTermination is a predicate on the terminal state), and the
-	// static provider already treats final accesses as plain accesses —
-	// the termination mark is never a pending step.
+	// termination mark is never a pending step, so a final access is
+	// dependent or independent like any other.
 	for e := core.sess.EventsBefore(common); e < len(tr.Events); e++ {
 		ev := &tr.Events[e]
 		if ev.Kind == sim.KindMark && ev.Phase == sim.PhaseDone {

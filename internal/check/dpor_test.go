@@ -1,11 +1,12 @@
 package check_test
 
-// Source-DPOR gates, mirroring the static-POR tiers in por_test.go:
+// Source-DPOR gates, in four tiers:
 //
 //   - micro-programs with known state counts pinning the exact shape of
 //     the dynamic reduction (disjoint registers collapse to one order,
 //     all-conflicting writers reduce nothing, races discovered mid-run
-//     re-seed backtrack points);
+//     re-seed backtrack points), and a seeded violation whose witness
+//     must replay;
 //   - the portfolio differential: DPOR and the unreduced reference must
 //     agree on every verdict (witnesses replaying for the broken
 //     designs), and DPOR must never visit more states than the
@@ -13,10 +14,12 @@ package check_test
 //   - stage-pass equivalence: DPOR explorations are bit-identical at
 //     any Workers count (the stage pass is pure, the commit pass
 //     serial);
-//   - the tas/ttas regression gate of PR 7: with sleep sets normalised
-//     into the visited key, the reduced explorations stay at or below
-//     the reference state count at n = 2 and 3 — the configurations the
-//     PR 6 PORAuto heuristic used to give up on.
+//   - the tas/ttas regression gate: with sleep sets normalised into the
+//     visited key, the reduced explorations stay at or below the
+//     reference state count at n = 2 and 3.
+//
+// Agreement on this portfolio does not make DPOR sound: mutant_test.go
+// holds two broken locks that the reference refutes and DPOR proves.
 
 import (
 	"fmt"
@@ -29,6 +32,60 @@ import (
 	"cfc/internal/opset"
 	"cfc/internal/sim"
 )
+
+// disjointBuilder is the canonical fully-independent program: two
+// processes, each performing k writes to its own private register. Every
+// interleaving is a permutation of the same two commuting sequences.
+func disjointBuilder(k int) check.Builder {
+	return func() (*sim.Memory, []sim.ProcFunc, error) {
+		mem := sim.NewMemory(opset.AtomicRegisters)
+		a := mem.Register("a", 8)
+		b := mem.Register("b", 8)
+		body := func(r sim.Reg) sim.ProcFunc {
+			return func(p *sim.Proc) {
+				for i := 0; i < k; i++ {
+					p.Write(r, uint64(i+1))
+				}
+			}
+		}
+		return mem, []sim.ProcFunc{body(a), body(b)}, nil
+	}
+}
+
+func trivialProp(*sim.Trace) error { return nil }
+
+// witnessReplays replays a witness schedule (Decisions encoding, crashes
+// included) on a fresh program instance and reports whether it
+// reproduces a violation: the property fails on the resulting trace, or
+// — for ExpectTermination configurations — the maximal replayed run
+// left a started process neither terminated nor crashed.
+func witnessReplays(t *testing.T, build check.Builder, prop check.Property, opts check.Options, schedule []int) bool {
+	t.Helper()
+	mem, procs, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sim.StartSession(sim.Config{Mem: mem, Procs: procs, MaxSteps: len(schedule) + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Seek(schedule); err != nil {
+		t.Fatalf("witness replay: %v", err)
+	}
+	tr := sess.Trace()
+	if prop(tr) != nil {
+		return true
+	}
+	if opts.ExpectTermination && sess.Finished() {
+		for pid := 0; pid < tr.NumProcs; pid++ {
+			if tr.FirstEvent(pid) >= 0 && !tr.Done(pid) && !tr.Crashed(pid) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // TestDPORDisjointRegistersCollapseToOneOrder: on the fully independent
 // two-process program no race is ever observed, so source-DPOR never adds
@@ -115,12 +172,10 @@ func TestDPORSeededViolationWitnessReplays(t *testing.T) {
 func dporPortfolioOpts(base check.Options, symmetry bool) check.Options {
 	base.DPOR = true
 	base.Symmetry = symmetry
-	base.POR = false
-	base.PORAuto = false
 	return base
 }
 
-// TestDPORAgreesWithReferencePortfolio is the PR 7 soundness gate: across
+// TestDPORAgreesWithReferencePortfolio is the differential gate: across
 // the full portfolio — correct algorithms and seeded-broken designs,
 // crash injection included — source-DPOR (with and without symmetry) and
 // the unreduced reference must reach the same verdict, witnesses must
@@ -231,13 +286,9 @@ func TestDPORSpinCollapseTASProvesExclusion(t *testing.T) {
 // gate: sleep normalisation (normalizeSleep — live pids only,
 // conflicting / visible / non-progressing sleepers woken) collapses the
 // per-state key fan-out that used to inflate spin-heavy single-cell
-// explorations far past the unreduced reference and made PORAuto give
-// up on them. DPOR, the default engine, must now stay at or below the
-// unreduced state count at n = 2 and 3. The static provider retains a
-// small residual (sleeps that do buy pruning still split keys on states
-// reached along multiple ample paths), pinned to within 1/8 above the
-// reference so it cannot silently regress toward the pre-normalisation
-// ~40% inflation.
+// explorations far past the unreduced reference. DPOR, the default
+// engine, must stay at or below the unreduced state count at n = 2
+// and 3.
 func TestReductionNeverExceedsReferenceTAS(t *testing.T) {
 	algs := []mutex.Algorithm{mutex.TASLock{}, mutex.TTASLock{}}
 	for _, alg := range algs {
@@ -253,36 +304,19 @@ func TestReductionNeverExceedsReferenceTAS(t *testing.T) {
 				if ref.Truncated {
 					t.Fatalf("reference truncated at depth %d", opts.MaxDepth)
 				}
-				porOpts := opts
-				porOpts.POR = true
-				por, err := check.Explore(build, metrics.CheckMutualExclusion, porOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
 				dporOpts := opts
 				dporOpts.DPOR = true
 				dpor, err := check.Explore(build, metrics.CheckMutualExclusion, dporOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, c := range []struct {
-					label string
-					res   check.Result
-					cap   int
-				}{
-					{"static POR", por, ref.States + ref.States/8},
-					{"DPOR", dpor, ref.States},
-				} {
-					if c.res.Violation != nil {
-						t.Errorf("%s misreported a violation: %v", c.label, c.res.Violation)
-					}
-					if c.res.States > c.cap {
-						t.Errorf("%s states = %d exceeds cap %d (reference %d)",
-							c.label, c.res.States, c.cap, ref.States)
-					}
+				if dpor.Violation != nil {
+					t.Errorf("DPOR misreported a violation: %v", dpor.Violation)
 				}
-				t.Logf("states: reference %d, static POR %d, DPOR %d",
-					ref.States, por.States, dpor.States)
+				if dpor.States > ref.States {
+					t.Errorf("DPOR states = %d exceeds the reference's %d", dpor.States, ref.States)
+				}
+				t.Logf("states: reference %d, DPOR %d", ref.States, dpor.States)
 			})
 		}
 	}

@@ -416,7 +416,6 @@ func TestPeekKeyMatchesChild(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.core.close()
-				e.provider, e.por = newProvider(opts, prog.n)
 				visited := make(map[uint64]bool)
 				peeks := 0
 				var dfs func(sched []int)
@@ -433,18 +432,21 @@ func TestPeekKeyMatchesChild(t *testing.T) {
 						return
 					}
 					visited[h] = true
-					br, _ := e.provider.branches(&e.core, live, sched, 0)
+					nb := len(live)
+					if prog.crashes {
+						nb *= 2
+					}
 					pend := e.core.pendingOps()
-					keys := make([]uint64, len(br))
-					for i, b := range br {
-						k, ok := e.peekKey(b, live, pend)
+					keys := make([]uint64, nb)
+					for i := range nb {
+						k, ok := e.peekKey(branchEntry(live, i), live, pend)
 						if !ok {
-							t.Fatalf("at %v: branch %d cannot be peeked", sched, b.entry)
+							t.Fatalf("at %v: branch %d cannot be peeked", sched, branchEntry(live, i))
 						}
 						keys[i] = k
 					}
-					for i, b := range br {
-						child := append(slices.Clip(sched), b.entry)
+					for i := range nb {
+						child := append(slices.Clip(sched), branchEntry(live, i))
 						if _, _, err := e.core.stateAt(child); err != nil {
 							t.Fatalf("at %v: %v", child, err)
 						}

@@ -50,8 +50,7 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 	if err := e.core.init(peekBuilder(3), e.maxDepth, opts.CollapseSpins); err != nil {
 		t.Fatal(err)
 	}
-	e.provider, e.por = newProvider(opts, 3)
-	if err := e.dfs(nil, 0); err != nil {
+	if err := e.dfs(nil); err != nil {
 		t.Fatal(err)
 	}
 	e.core.close()
@@ -69,7 +68,6 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer core.close()
-	provider, _ := newProvider(opts, 3)
 	visited := make(map[uint64]bool)
 	runs, truncated := 0, false
 	var dfs func(sched []int)
@@ -91,9 +89,8 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 			return
 		}
 		visited[h] = true
-		br, _ := provider.branches(&core, live, sched, 0)
-		for _, b := range br {
-			dfs(append(slices.Clip(sched), b.entry))
+		for _, pid := range live {
+			dfs(append(slices.Clip(sched), pid))
 		}
 	}
 	dfs(nil)

@@ -2,10 +2,10 @@ package check_test
 
 // The portfolio the checker's differential gates explore: mutex,
 // contention detection and naming, the safe designs and the recorded
-// broken ones, each within its budgets. The reduction gates
-// (por_test.go, dpor_test.go) compare engines over it; the side-by-side
-// gates below compare each exploration run alone with the same
-// exploration run while every other job explores too.
+// broken ones, each within its budgets. The DPOR gates (dpor_test.go)
+// compare engines over it; the side-by-side gate below compares each
+// reference exploration run alone with the same exploration run while
+// every other job explores too.
 
 import (
 	"slices"
@@ -174,33 +174,25 @@ func assertSameResult(t *testing.T, serial, got check.Result, label string) {
 	}
 }
 
-// exploreSideBySide explores every portfolio job, with static POR when
-// por is set, first alone and then with every job exploring at once on
-// its own goroutine (parallel subtests), as cmd/cfccheck -workers runs
-// a portfolio. Each concurrent result must equal the job's lone one:
-// explorations of separately built programs share no mutable state, and
-// under -race this checks that they touch none.
-func exploreSideBySide(t *testing.T, por bool) {
+// TestParallelMatchesSerialPortfolio explores every portfolio job with
+// the reference, first alone and then with every job exploring at once
+// on its own goroutine (parallel subtests), as cmd/cfccheck -workers
+// runs a portfolio. Each concurrent result must equal the job's lone
+// one: explorations of separately built programs share no mutable
+// state, and under -race this checks that they touch none.
+func TestParallelMatchesSerialPortfolio(t *testing.T) {
 	for _, j := range portfolioJobs(t) {
 		t.Run(j.name, func(t *testing.T) {
-			o := j.opts
-			o.POR = por
-			alone, err := check.Explore(j.build, j.prop, o)
+			alone, err := check.Explore(j.build, j.prop, j.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Parallel()
-			together, err := check.Explore(j.build, j.prop, o)
+			together, err := check.Explore(j.build, j.prop, j.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameResult(t, alone, together, "side by side")
 		})
 	}
-}
-
-// TestParallelMatchesSerialPortfolio runs the unreduced reference
-// explorations of the portfolio side by side (see exploreSideBySide).
-func TestParallelMatchesSerialPortfolio(t *testing.T) {
-	exploreSideBySide(t, false)
 }

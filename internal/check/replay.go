@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cfc/internal/opset"
 	"cfc/internal/sim"
 )
 
@@ -419,8 +418,8 @@ func tailRepeatsWith(h []histEntry, e histEntry, p int) bool {
 // pendingOps snapshots the live processes' pending steps from the core's
 // session (which must be positioned at the current node), reusing the
 // core's scratch. In a healthy session the ready set and the explorer's
-// live set coincide, so entry i belongs to live[i]; porProvider verifies
-// the alignment.
+// live set coincide, so entry i belongs to live[i]; explorer.peekKey
+// checks the alignment before it relies on it.
 func (c *replayCore) pendingOps() []sim.PendingOp {
 	c.pend = c.sess.PendingOps(c.pend)
 	return c.pend
@@ -455,67 +454,23 @@ func (c *replayCore) pendingEntry(po sim.PendingOp) histEntry {
 // strictly grows it — i.e. the step is not another iteration of a
 // busy-wait period the spin collapse removes; without collapse every step
 // progresses. It reads the histories the stateAt call for the current
-// node folded. Steps that do not progress are exactly the edges cycles in
-// the collapsed state space are made of, which is why porProvider refuses
-// to pick them as singleton ample transitions (see the cycle proviso in
-// por.go).
+// node folded.
+//
+// Steps that do not progress are exactly the edges cycles in the
+// collapsed state space are made of: without collapse every step grows
+// some history, so no state recurs, and around a cycle the net history
+// growth is zero, so every cycle contains a collapsing step. That is the
+// cycle proviso of DPOR's first batch (dpor.go): a node starts with one
+// progressing step, or with every awake step when none progresses, so a
+// collapsing step never postpones the other processes around a cycle.
 func (c *replayCore) progresses(pid int, e histEntry) bool {
 	return c.appendLen(pid, e) > len(c.hist[pid])
-}
-
-// ownReadOf reports whether pid's own recorded history contains a
-// value-returning access overlapping acc's footprint. A candidate that
-// mutates such a cell is completing a read-check-write handshake; see
-// por.go for why the reduction refuses to postpone other processes
-// across one.
-func (c *replayCore) ownReadOf(pid int, acc opset.Acc) bool {
-	for _, en := range c.hist[pid] {
-		if en.kind != uint8(sim.KindAccess) || en.cell != acc.Cell {
-			continue
-		}
-		if !opset.Op(en.op).ReturnsValue() {
-			continue
-		}
-		past := opset.Acc{Op: opset.Op(en.op), Cell: en.cell, Shift: en.shift, Width: en.width, Arg: en.aux}
-		if past.Mask()&acc.Mask() != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func crashedIn(schedule []int, pid int) bool {
 	for _, s := range schedule {
 		if s == -pid-1 {
 			return true
-		}
-	}
-	return false
-}
-
-// histConflicts reports whether any other live process's recorded access
-// history contains an access that does not commute with acc. It is the
-// dynamic footprint check behind the ample candidate selection: a process
-// that has touched a cell before has revealed the cell is in its
-// footprint, and the algorithms under check revisit their cells (spin
-// loops, validation reads), so postponing a conflicting access behind
-// such a process risks pruning a real conflict that is not yet pending.
-// Like the rest of the reduction this reads the histories the current
-// node's stateAt call folded; collapsed histories keep at least one
-// occurrence of every access shape, which is all the check needs.
-func (c *replayCore) histConflicts(pid int, acc opset.Acc, live []int) bool {
-	for _, q := range live {
-		if q == pid {
-			continue
-		}
-		for _, en := range c.hist[q] {
-			if en.kind != uint8(sim.KindAccess) || en.cell != acc.Cell {
-				continue
-			}
-			past := opset.Acc{Op: opset.Op(en.op), Cell: en.cell, Shift: en.shift, Width: en.width, Arg: en.aux}
-			if !opset.Independent(acc, past) {
-				return true
-			}
 		}
 	}
 	return false

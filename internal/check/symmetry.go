@@ -281,10 +281,9 @@ func remapAccess(spec *sim.SymSpec, d sim.ViewDesc, perm []int, en histEntry, ow
 
 // canonicalKey is the node's visited-set key: with symmetry, the
 // minimum digest over the permutation group; without (sy == nil, or an
-// unmappable view), the identity digest mix64(base, sleep) — exactly
-// the key the static-POR explorers use. It must follow the node's
-// stateAt; the histories' permuted chains come from the cache, extended
-// to the folded histories first.
+// unmappable view), the identity digest mix64(base, sleep). It must
+// follow the node's stateAt; the histories' permuted chains come from
+// the cache, extended to the folded histories first.
 func (c *replayCore) canonicalKey(sy *symCanon, base, sleep uint64) uint64 {
 	best := mix64(base, sleep) // == the identity digest: same chainEntry, same mixHist, same order
 	if sy == nil {

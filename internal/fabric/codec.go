@@ -124,7 +124,6 @@ func (e *encoder) result(r *WireResult) {
 	e.int(r.Runs)
 	e.flag(r.Truncated)
 	e.int(r.ReducedNodes)
-	e.flag(r.PORDisabled)
 	e.flag(r.SymmetryApplied)
 	e.violation(r.Vio)
 }
@@ -357,7 +356,6 @@ func (d *decoder) result() *WireResult {
 	r.Runs = d.int()
 	r.Truncated = d.flag()
 	r.ReducedNodes = d.int()
-	r.PORDisabled = d.flag()
 	r.SymmetryApplied = d.flag()
 	r.Vio = d.violation()
 	return r

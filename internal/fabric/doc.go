@@ -17,10 +17,9 @@
 //
 //   - Whole portfolio entries (JobSpec: workload name, process count,
 //     check.Options). The worker runs check.Explore exactly as the
-//     single-process cfccheck would — PORAuto's two passes included —
-//     and returns the Result. Every job travels this way when sharding
-//     is off (Shards <= 1), and every non-DPOR job travels this way
-//     when it is on.
+//     single-process cfccheck would and returns the Result. Every job
+//     travels this way when sharding is off (Shards <= 1), and every
+//     non-DPOR job travels this way when it is on.
 //
 //   - DPOR waves (Shards > 1, DPOR jobs). The wave-synchronised DPOR
 //     engine splits along its BSP seam: a check.WaveMaster at the
@@ -53,7 +52,7 @@
 // the offending connection; a job exceeding the coordinator's job
 // timeout is reported DEGRADED instead of wedging the run.
 //
-// # Wire format (protocol v5)
+// # Wire format (protocol v6)
 //
 // A frame is a 4-byte big-endian payload length, at most MaxFrame, then
 // the payload: one tag byte naming the message type, then every Msg
@@ -96,6 +95,15 @@
 // (Dial/Serve over an opaque address) carries the byte stream: TCP for
 // real deployments, an in-process pipe (NewPipeTransport) for
 // deterministic tests, leaving room for a durable queue later.
+//
+// Protocol v6 changes, relative to v5:
+//
+//   - a result (WireResult) no longer carries the bit that said the
+//     PORAuto fallback kept the reference exploration: the static
+//     reduction and its fallback are gone from the checker, so a result
+//     is one byte shorter;
+//   - a version 5 hello carries no result, so it decodes under version
+//     6; the version check at hello drops it.
 //
 // Protocol v5 changes, relative to v4:
 //

@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -25,24 +26,19 @@ func fleetRegistry(name string, n int) (check.Builder, check.Property, bool) {
 }
 
 // testJobs is a portfolio slice exercising every job shape: a DPOR entry
-// (sharded runs distribute its waves), a static-POR entry, a PORAuto
-// entry whose reduction is unprofitable (tas hammers one bit, so the
-// worker runs the two-pass fallback), and a broken workload whose
-// violation exercises witness re-verification. Only the DPOR entry
-// shards; the others travel whole at any Shards setting.
+// (sharded runs distribute its waves), two reference entries, and a
+// broken workload, explored by the reference, whose violation exercises
+// witness re-verification. Only the DPOR entry shards; the others
+// travel whole at any Shards setting.
 func testJobs() []fabric.Job {
-	base := check.Options{MaxDepth: 60, MaxStates: 1 << 17, CollapseSpins: true}
-	por := base
-	por.POR = true
-	auto := por
-	auto.PORAuto = true
-	dpor := base
+	ref := check.Options{MaxDepth: 60, MaxStates: 1 << 17, CollapseSpins: true}
+	dpor := ref
 	dpor.DPOR = true
 	return []fabric.Job{
 		{Name: "mutex/peterson-2p", N: 2, Opts: dpor},
-		{Name: "mutex/tas-lock", N: 2, Opts: auto},
-		{Name: "naming/tas-scan", N: 2, Opts: por},
-		{Name: "broken/racy-mutex", N: 2, Opts: por},
+		{Name: "mutex/tas-lock", N: 2, Opts: ref},
+		{Name: "naming/tas-scan", N: 2, Opts: ref},
+		{Name: "broken/racy-mutex", N: 2, Opts: ref},
 	}
 }
 
@@ -67,8 +63,7 @@ func singleProcess(t *testing.T, jobs []fabric.Job) []check.Result {
 func assertEqual(t *testing.T, name string, want, got check.Result) {
 	t.Helper()
 	if want.States != got.States || want.Runs != got.Runs || want.Truncated != got.Truncated ||
-		want.ReducedNodes != got.ReducedNodes || want.PORDisabled != got.PORDisabled ||
-		want.SymmetryApplied != got.SymmetryApplied {
+		want.ReducedNodes != got.ReducedNodes || want.SymmetryApplied != got.SymmetryApplied {
 		t.Errorf("%s: counters diverge: want %+v, got %+v", name, want, got)
 	}
 	wv, gv := want.Violation, got.Violation
@@ -212,7 +207,7 @@ func TestWholeJobsEqualSingleProcess(t *testing.T) {
 
 // TestShardedJobsEqualSingleProcess is the contract with sharding on:
 // the DPOR job runs as distributed waves across the workers, while the
-// static-POR, PORAuto-fallback and violating jobs travel whole, and
+// reference jobs, the violating one included, travel whole, and
 // every job still reports exactly the single-process result. The
 // locality counters must show the wave probers' live sessions engaged.
 func TestShardedJobsEqualSingleProcess(t *testing.T) {
@@ -421,7 +416,8 @@ func TestJobTimeoutDegrades(t *testing.T) {
 // worker is dropped at hello, and the run completes on a good one. A
 // protocol version 2 worker's hello is JSON, and a version 4 worker's
 // carries a count field version 5 dropped, so neither decodes as a
-// version 5 frame at all; their connections are dropped the same way.
+// version 6 frame at all; their connections are dropped the same way.
+// A version 5 worker's hello decodes, and the version check drops it.
 func TestProtocolVersionMismatch(t *testing.T) {
 	jobs := testJobs()[:1]
 	want := singleProcess(t, jobs)
@@ -458,6 +454,14 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	if _, err := v4.rwc.Write(v4Hello); err != nil {
 		t.Fatalf("v4 hello: %v", err)
 	}
+	var m5 fabric.Msg
+	if err := fabric.ReadFrame(bytes.NewReader(v5Hello), &m5); err != nil || m5.T != fabric.MsgHello || m5.V != 5 {
+		t.Fatalf("the v5 hello should decode as a version 5 hello: %+v, %v", m5, err)
+	}
+	v5 := dialRaw(t, pt, "coord")
+	if _, err := v5.rwc.Write(v5Hello); err != nil {
+		t.Fatalf("v5 hello: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -471,7 +475,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	wg.Wait()
 	// A dropped connection reads end of stream; one the coordinator kept
 	// would have been sent bye.
-	for name, c := range map[string]*rawConn{"future": future, "v2": v2, "v3": v3, "v4": v4} {
+	for name, c := range map[string]*rawConn{"future": future, "v2": v2, "v3": v3, "v4": v4, "v5": v5} {
 		var m fabric.Msg
 		if err := fabric.ReadFrame(c.rwc, &m); err == nil {
 			t.Errorf("%s worker was sent a %q frame; its connection should have been dropped at hello", name, m.T)

@@ -26,8 +26,10 @@ import (
 // descent-chain reports (Msg.Reports) and the cache-bypass bit of a node
 // (WireNode.Full) are gone, so only whole jobs and DPOR waves travel. A
 // version 4 hello carries one more count byte than a version 5 one and
-// fails to decode.
-const ProtoVersion = 5
+// fails to decode. Version 6 dropped a result's PORAuto fallback bit
+// along with the static reduction; a version 5 hello carries no result,
+// so it decodes, and the version check drops it.
+const ProtoVersion = 6
 
 // MaxFrame bounds a single frame's payload. A frame announcing a larger
 // length is a protocol violation and drops the connection. ReadFrame
@@ -169,7 +171,6 @@ type WireResult struct {
 	Runs            int
 	Truncated       bool
 	ReducedNodes    int
-	PORDisabled     bool
 	SymmetryApplied bool
 	Vio             *WireViolation
 }
@@ -177,16 +178,16 @@ type WireResult struct {
 func toWireResult(r check.Result) *WireResult {
 	return &WireResult{
 		States: r.States, Runs: r.Runs, Truncated: r.Truncated,
-		ReducedNodes: r.ReducedNodes, PORDisabled: r.PORDisabled,
-		SymmetryApplied: r.SymmetryApplied, Vio: toWireViolation(r.Violation),
+		ReducedNodes: r.ReducedNodes, SymmetryApplied: r.SymmetryApplied,
+		Vio: toWireViolation(r.Violation),
 	}
 }
 
 func (r *WireResult) toCheck() check.Result {
 	return check.Result{
 		States: r.States, Runs: r.Runs, Truncated: r.Truncated,
-		ReducedNodes: r.ReducedNodes, PORDisabled: r.PORDisabled,
-		SymmetryApplied: r.SymmetryApplied, Violation: r.Vio.toCheck(),
+		ReducedNodes: r.ReducedNodes, SymmetryApplied: r.SymmetryApplied,
+		Violation: r.Vio.toCheck(),
 	}
 }
 

@@ -99,6 +99,12 @@ func rawFrame(payload []byte) []byte {
 // carried a probe-report count).
 var v4Hello = rawFrame([]byte{0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 
+// v5Hello is a protocol version 5 worker's hello as it went on the wire:
+// tag 0, V 5, then ten zero fields. A hello carries no result, the only
+// part of the frame version 6 changed, so it decodes under version 6
+// and only the version check drops it.
+var v5Hello = rawFrame([]byte{0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+
 // TestFrameRoundTrip requires ReadFrame(WriteFrame(m)) to equal m for a
 // Msg with every wire field set, under every message type, and for a
 // Msg whose slices hold zero-valued elements.
@@ -225,6 +231,7 @@ func FuzzReadFrame(f *testing.F) {
 	huge := binary.AppendUvarint([]byte{6, 0, 0, 0, 0, 0}, 1<<40)
 	f.Add(rawFrame(append(huge, make([]byte, 64)...)))
 	f.Add(v4Hello)
+	f.Add(v5Hello)
 	// A header declaring the largest legal frame, then a few bytes.
 	f.Add(append(binary.BigEndian.AppendUint32(nil, fabric.MaxFrame), 1, 2, 3, 4))
 
@@ -236,10 +243,21 @@ func FuzzReadFrame(f *testing.F) {
 		// 3 payload bytes) per payload byte; 64 per input byte leaves
 		// room for both and for size classes, and 1 MiB covers the first
 		// chunk and the fuzzing engine's own allocations during the call.
+		//
+		// The runtime counts small allocations when a cached span is
+		// handed back, so a GC cycle that starts during the call charges
+		// it with everything the fuzzing engine allocated before it.
+		// ReadFrame is deterministic, so a decoder that really exceeds
+		// the limit exceeds it on every read: the least of three reads is
+		// what is compared.
 		limit := uint64(1<<20) + 64*uint64(len(data))
 		var m fabric.Msg
 		var err error
-		if n := allocBytes(func() { err = fabric.ReadFrame(bytes.NewReader(data), &m) }); n > limit {
+		n := allocBytes(func() { err = fabric.ReadFrame(bytes.NewReader(data), &m) })
+		for try := 1; try < 3 && n > limit; try++ {
+			n = min(n, allocBytes(func() { err = fabric.ReadFrame(bytes.NewReader(data), &m) }))
+		}
+		if n > limit {
 			t.Fatalf("reading a %d-byte input allocated %d bytes", len(data), n)
 		}
 		if err != nil {

@@ -5,7 +5,7 @@ package opset
 // commute. Two accesses are independent when executing them in either
 // order from any memory state yields the same final memory AND the same
 // value returned to each access. The model checker prunes interleavings
-// that only reorder independent accesses (internal/check, Options.POR);
+// that only reorder independent accesses (internal/check, Options.DPOR);
 // the simulator is not involved — independence is a property of the
 // operations and their footprints alone.
 //

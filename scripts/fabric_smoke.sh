@@ -6,8 +6,9 @@
 # Three passes:
 #   1. whole jobs          — the default n=2 portfolio (DPOR engines and
 #      all), fanned out one portfolio entry per job;
-#   2. whole jobs, sharded — the non-DPOR portfolio (-dpor=false) with
-#      -shards 2: only DPOR jobs split, so every job still travels whole;
+#   2. whole jobs, sharded — the reference portfolio (-dpor=false) with
+#      -shards 2: only DPOR jobs split, so every reference job still
+#      travels whole;
 #   3. wave sharding       — the full portfolio with -shards 2, putting
 #      the DPOR entries on the distributed wave path (pure expansion at
 #      the workers, serial commit at the coordinator).
@@ -79,7 +80,8 @@ run_pass() { # run_pass <label> <extra flags...>
 run_pass "whole jobs"
 
 # Pass 2: sharding on, but no DPOR job to split: the -dpor=false
-# portfolio (static POR, PORAuto) travels whole under -shards 2.
+# portfolio, every job a reference exploration, travels whole under
+# -shards 2.
 run_pass "whole jobs under -shards 2 (-dpor=false)" -dpor=false -shards 2
 
 # Pass 3: wave sharding. The full portfolio (DPOR engines included) with

@@ -187,7 +187,6 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 		opts:      opts,
 		maxDepth:  maxDepth,
 		maxStates: maxStates,
-		visited:   make(map[uint64]struct{}),
 	}
 	if err := e.core.init(build, maxDepth, opts.CollapseSpins); err != nil {
 		return Result{}, err
@@ -202,14 +201,16 @@ func exploreSerial(build Builder, prop Property, opts Options, maxDepth, maxStat
 				err = fmt.Errorf("check: panicked expanding schedule prefix %v: %v", prefix, r)
 			}
 		}()
-		return e.dfs(nil)
+		// One schedule buffer for the whole search: a child's schedule
+		// appends in place, up to maxDepth+1 entries.
+		return e.dfs(make([]int, 0, maxDepth+1))
 	}()
 	e.core.close()
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		States:    len(e.visited),
+		States:    e.visited.len(),
 		Runs:      e.runs,
 		Truncated: e.truncated,
 		Violation: e.violation,
@@ -223,7 +224,7 @@ type explorer struct {
 	maxDepth  int
 	maxStates int
 
-	visited   map[uint64]struct{}
+	visited   visitedSet
 	runs      int
 	peeked    int // sibling replays skipped by the batch peek
 	truncated bool
@@ -262,15 +263,18 @@ func (e *explorer) dfs(schedule []int) error {
 		return nil
 	}
 
+	// Seen, then budget: a revisit is pruned even when the budget is
+	// spent. Below the budget the insert is the seen check, one probe.
 	h := e.core.stateHash()
-	if _, seen := e.visited[h]; seen {
+	if e.visited.len() >= e.maxStates {
+		if !e.visited.has(h) {
+			e.truncated = true
+		}
 		return nil
 	}
-	if len(e.visited) >= e.maxStates {
-		e.truncated = true
+	if !e.visited.insert(h) {
 		return nil
 	}
-	e.visited[h] = struct{}{}
 
 	// The branches, in order: a step of each live process in ascending
 	// pid order, then, with crash exploration, a crash of each (a live
@@ -292,20 +296,15 @@ func (e *explorer) dfs(schedule []int) error {
 	// violating and depth-truncated children never enter the visited set
 	// (dfs returns before marking), so the peek can only skip children
 	// dfs would prune anyway; the depth guard keeps the boundary case
-	// (child at maxDepth must report Truncated) on the replay path.
-	var skip []bool
+	// (child at maxDepth must report Truncated) on the replay path. skip
+	// has one bit per branch; branches past the 64th (more than 32 live
+	// processes with crashes) are not peeked and replay.
+	var skip uint64
 	if len(schedule)+1 < e.maxDepth {
 		pend := e.core.pendingOps()
-		for i := range nb {
-			key, ok := e.peekKey(branchEntry(live, i), live, pend)
-			if !ok {
-				continue
-			}
-			if _, seen := e.visited[key]; seen {
-				if skip == nil {
-					skip = make([]bool, nb)
-				}
-				skip[i] = true
+		for i := range min(nb, 64) {
+			if key, ok := e.peekKey(live, pend, i); ok && e.visited.has(key) {
+				skip |= 1 << i
 				e.peeked++
 			}
 		}
@@ -316,7 +315,7 @@ func (e *explorer) dfs(schedule []int) error {
 	// of replaying the prefix; a later sibling rewinds the session to
 	// this node, re-running only the processes that moved below it.
 	for i := range nb {
-		if skip != nil && skip[i] {
+		if skip&(1<<i) != 0 {
 			continue
 		}
 		if err := e.dfs(append(schedule, branchEntry(live, i))); err != nil {
@@ -339,53 +338,34 @@ func branchEntry(live []int, i int) int {
 	return -live[i-len(live)] - 1
 }
 
-// peekKey computes the visited key the child reached via schedule entry
-// entry would derive for itself — stateHash over the child's cell values
-// and histories — without replaying the child. It reads the parent
-// node's fold (c.vals, c.hist, c.chain — valid since the parent's
-// stateAt) and the parent's pending steps: the child differs from the
-// parent in at most one cell and in the branch process's history, whose
-// canonical length and chain digest follow from one appendLen (a
-// collapsed append is a prefix, whose digest is already in the chain).
-// The auto termination mark a completing step would add is kept out of
-// histories for exactly this purpose. ok is false when the branch cannot
-// be peeked (scratch misalignment or an unknown entry); the caller then
-// replays it normally.
-func (e *explorer) peekKey(entry int, live []int, pend []sim.PendingOp) (key uint64, ok bool) {
+// peekKey computes the visited key the child reached via branch i
+// (branchEntry(live, i)) would derive for itself — stateHash over the
+// child's cell values and histories — without replaying the child. It
+// reads the parent node's fold (c.vals, c.hist, c.chain — valid since the
+// parent's stateAt) and, for a step, the parent's pending step pend[i]:
+// the child differs from the parent in at most one cell and in the branch
+// process's history, whose canonical length and chain digest follow from
+// one appendLen (a collapsed append is a prefix, whose digest is already
+// in the chain). The auto termination mark a completing step would add
+// is kept out of histories for exactly this purpose. ok is false when
+// pend[i] is not live[i]'s step; the caller then replays the branch
+// normally.
+func (e *explorer) peekKey(live []int, pend []sim.PendingOp, i int) (key uint64, ok bool) {
 	c := &e.core
 	var en histEntry
-	pid := -1
 	cell := int32(-1)
-	var newVal uint64
-	switch {
-	case entry >= 0 && entry < len(c.procs):
-		pid = entry
-		var po sim.PendingOp
-		found := false
-		for i, q := range live {
-			if q == pid {
-				if i < len(pend) && pend[i].PID == pid {
-					po, found = pend[i], true
-				}
-				break
-			}
-		}
-		if !found {
+	var val uint64
+	pid := live[i%len(live)]
+	if i < len(live) {
+		if i >= len(pend) || pend[i].PID != pid {
 			return 0, false
 		}
-		en = c.pendingEntry(po)
-		if po.Kind == sim.KindAccess {
-			mask := po.Acc().Mask()
-			cur := c.vals[po.Cell]
-			next, _, _ := po.Op.Apply((cur&mask)>>po.Shift, po.Arg)
-			cell = po.Cell
-			newVal = cur&^mask | (next<<po.Shift)&mask
+		en, val = c.pendingStep(&pend[i])
+		if en.kind == uint8(sim.KindAccess) {
+			cell = en.cell
 		}
-	case entry < 0 && -entry-1 < len(c.procs):
-		pid = -entry - 1
+	} else {
 		en = histEntry{kind: uint8(sim.KindCrash)}
-	default:
-		return 0, false
 	}
 
 	n := c.appendLen(pid, en)
@@ -395,7 +375,7 @@ func (e *explorer) peekKey(entry int, live []int, pend []sim.PendingOp) (key uin
 	} else {
 		d = c.chain[pid][n-1]
 	}
-	return c.successorHash(cell, newVal, pid, n, d), true
+	return c.successorHash(cell, val, pid, n, d), true
 }
 
 // unterminated scans a maximal run for a process that started but neither

@@ -26,34 +26,49 @@
 // folded event pushes one undo record: a Seek that rewinds the session
 // to decision k keeps the trace's events before k
 // (sim.Session.EventsBefore), so the fold pops back to them and folds
-// only what the Seek replays. A state's digest then mixes the live
-// memory's cell values with each process's (history length, chain
-// digest) — O(cells + processes) per node instead of a pass over the
-// whole trace.
+// only what the Seek replays.
+//
+// A state's digest is additive: the sum, mod 2^64, of one term per cell,
+// mix64(cellSeed(i), value), and one per process, mixHist(procSeed(q),
+// history length, chain digest) — a Zobrist-style hash (Zobrist, A New
+// Hashing Method with Application for Game Playing, 1970). The core
+// caches every term and their sum. fold and unfold list the cells and
+// processes they change, and the next key re-mixes only those terms: the
+// cell values are current after the Seek and the histories after the
+// fold, so the list needs no copy of the old values. A key costs
+// O(terms the move touched) instead of O(cells + processes).
 //
 // One digest definition serves every reader: chainEntry extends a
-// history's digest and mixHist combines the per-process pairs after the
-// cell values. The serial explorer's sibling peek keys a child without
-// replaying it by substituting the one cell and the one history the
-// branch changes (a collapsed append is a prefix, whose digest is
-// already in the chain); symmetry reduction chains each remapped history
-// through the same chainEntry, so its identity permutation reproduces
-// the plain key exactly. The remapped chains are kept alongside the
-// fold, per process and history position under every non-identity
-// permutation, extended lazily when a key is asked for and cut back
-// wherever the fold truncates a history, so a symmetric key costs
-// O(permutations × (cells + processes)) too (symmetry.go). They are the
-// exact digests a walk over every history would chain, so they add no
-// hash assumption.
+// history's digest, and the terms add up. The serial explorer's sibling
+// peek keys a child without replaying it by swapping the one cell term
+// and the one process term the branch changes (a collapsed append is a
+// prefix, whose digest is already in the chain), O(1) per sibling.
+// Symmetry reduction chains each remapped history through the same
+// chainEntry and sums the same terms slot by slot, so its identity
+// permutation reproduces the plain key exactly. The remapped chains are
+// kept alongside the fold, per process and history position under every
+// non-identity permutation, extended lazily when a key is asked for and
+// cut back wherever the fold truncates a history, so a symmetric key
+// costs O(permutations × (cells + processes)) (symmetry.go). They are
+// the exact digests a walk over every history would chain, so they add
+// no hash assumption.
 //
-// Visited sets store only these 64-bit digests, so every "proved" rests
-// on one assumption: no two distinct states of a job share a digest. By
-// the birthday bound a job of s states collides with probability about
-// s²/2^65 — 2^-27 at cfccheck's default budget of 2^19 states. The
-// golden test (testdata/golden_check.txt) pins the states, runs,
-// verdicts and witnesses of the n = 2 portfolio, the n = 2 and 3 crash
-// variants and the racy-mutex canaries, in reference and DPOR+sym mode,
-// so a collision or a fold bug there shows as a changed line.
+// Visited sets store only these 64-bit digests, in one flat table
+// (visited.go): a power-of-two array with linear probing that doubles at
+// 7/8 load, 9 to 18 bytes per state, with the probe's start taken from
+// the digest's low bits. Every "proved" therefore rests on one
+// assumption: no two distinct states of a job share a digest. Each term
+// is a bijection of its value for a fixed cell, or of its chain digest
+// for a fixed process and history length, so two states that differ in
+// one term never collide; states that differ in more collide only when
+// the differences of their terms cancel, which for pseudo-random terms
+// happens with probability 2^-64 per pair. By the birthday bound a job
+// of s states therefore collides with probability about s²/2^65 — 2^-27
+// at cfccheck's default budget of 2^19 states. The golden test
+// (testdata/golden_check.txt) pins the states, runs, verdicts and
+// witnesses of the n = 2 portfolio, the n = 2 and 3 crash variants and
+// the racy-mutex canaries, in reference and DPOR+sym mode, so a
+// collision or a fold bug there shows as a changed line.
 //
 // # Replay engine
 //

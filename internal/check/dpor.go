@@ -361,7 +361,7 @@ type dexplorer struct {
 	maxStates int
 	crashes   bool
 
-	visited   map[uint64]struct{} // inserted only by commitStage
+	visited   visitedSet // inserted only by commitStage
 	runs      int
 	reduced   int
 	truncated bool
@@ -387,7 +387,6 @@ func newDExplorer(prop Property, opts Options, maxDepth, maxStates, nprocs int, 
 		},
 		maxStates: maxStates,
 		crashes:   opts.ExploreCrashes,
-		visited:   make(map[uint64]struct{}),
 		wave:      []dtask{{node: &dnode{entry: -1 << 20}, sched: []int{}}},
 	}
 }
@@ -619,7 +618,7 @@ func (e *dexplorer) advance(stages []dstage) {
 // result summarises the exploration.
 func (e *dexplorer) result() Result {
 	return Result{
-		States:          len(e.visited),
+		States:          e.visited.len(),
 		Runs:            e.runs,
 		Truncated:       e.truncated,
 		ReducedNodes:    e.reduced,
@@ -654,20 +653,21 @@ func (e *dexplorer) commitStage(st *dstage, next *[]dtask) {
 		return
 	}
 	// Seen, then budget, as in the serial DFS: a revisit is pruned (and
-	// compensated) even when the budget is exhausted.
-	if _, seen := e.visited[st.rep.Key]; seen {
+	// compensated) even when the budget is exhausted. Below the budget
+	// the insert is the seen check.
+	full := e.visited.len() >= e.maxStates
+	if full && !e.visited.has(st.rep.Key) {
+		e.truncated = true
+		e.childDone(node.parent, next)
+		return
+	}
+	if full || !e.visited.insert(st.rep.Key) {
 		for _, dm := range st.rep.Comp {
 			registerMask(ancestorAt(node, dm.Depth), dm.Mask)
 		}
 		e.childDone(node.parent, next)
 		return
 	}
-	if len(e.visited) >= e.maxStates {
-		e.truncated = true
-		e.childDone(node.parent, next)
-		return
-	}
-	e.visited[st.rep.Key] = struct{}{}
 	node.pend = append(node.pend[:0], st.rep.Pend...)
 	node.live = st.rep.Live
 	node.accum = st.rep.Sleep
@@ -760,15 +760,11 @@ func (e *dexplorer) settle(n *dnode, next *[]dtask) {
 			}
 			return
 		}
-		if e.crashes && !n.crashed {
+		if e.crashes && !n.crashed && n.live != 0 {
 			n.crashed = true
 			sched := nodeSchedule(n)
-			dispatched := false
 			for mask := n.live; mask != 0; mask &= mask - 1 {
 				pid := bits.TrailingZeros64(mask)
-				if crashedIn(sched, pid) {
-					continue
-				}
 				// A crash commutes with every other process's step: all
 				// steps explored (or asleep) at this node stay asleep in
 				// the crash subtree; the crashed pid's own step is gone.
@@ -780,11 +776,8 @@ func (e *dexplorer) settle(n *dnode, next *[]dtask) {
 				}
 				n.out++
 				*next = append(*next, dtask{node: ch, sched: childSchedule(sched, ch.entry)})
-				dispatched = true
 			}
-			if dispatched {
-				return
-			}
+			return
 		}
 		if bits.OnesCount64(n.done) < bits.OnesCount64(n.live) {
 			e.reduced++

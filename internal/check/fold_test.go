@@ -103,7 +103,8 @@ type scratchState struct {
 // rebuildState is the reference: one pass over every event of the trace
 // into per-process histories, written masks and statuses, the
 // whole-history spin collapse, cell values replayed from the trace, and
-// the digest chained and combined from scratch.
+// the digest chained and summed from scratch, one term per cell and per
+// process.
 func rebuildState(tr *sim.Trace, ncells int, collapse bool) scratchState {
 	s := scratchState{
 		hist:   make([][]histEntry, tr.NumProcs),
@@ -124,9 +125,8 @@ func rebuildState(tr *sim.Trace, ncells int, collapse bool) scratchState {
 		s.hist[ev.PID] = append(s.hist[ev.PID], entryOf(&ev))
 	}
 	s.vals = tr.ReplayValuesInto(nil, len(tr.Events))
-	s.hash = hashSeed
-	for _, v := range s.vals {
-		s.hash = mix64(s.hash, v)
+	for i, v := range s.vals {
+		s.hash += mix64(cellSeed(i), v)
 	}
 	for pid, h := range s.hist {
 		if collapse {
@@ -138,7 +138,7 @@ func rebuildState(tr *sim.Trace, ncells int, collapse bool) scratchState {
 			d = chainEntry(d, en.shape(), en.ret, en.aux)
 			s.chain[pid] = append(s.chain[pid], d)
 		}
-		s.hash = mixHist(s.hash, len(h), d)
+		s.hash += mixHist(procSeed(pid), len(h), d)
 	}
 	return s
 }
@@ -183,15 +183,16 @@ func tailRepeats(h []histEntry, p int) bool {
 
 // symDigest is the state digest under pid permutation k, walked from
 // scratch the way canonicalKey computed it before the permuted chain
-// cache: the permuted cell values, then every history in permuted slot
-// order, each entry remapped by remapHistEntry and chained, then the
-// permuted sleep mask. It reads the state the preceding stateAt folded.
-// ok is false when some recorded access cannot be remapped.
+// cache: the sum of the permuted cell values' terms and of every
+// history's term in permuted slot order, each entry remapped by
+// remapHistEntry and chained, then the permuted sleep mask mixed in. It
+// reads the state the preceding stateAt folded. ok is false when some
+// recorded access cannot be remapped.
 func (c *replayCore) symDigest(sy *symCanon, k int, sleep uint64) (uint64, bool) {
 	perm, inv := sy.perms[k], sy.invs[k]
-	h := uint64(hashSeed)
-	for _, v := range sy.spec.RemapCells(nil, c.vals, c.wmask, perm) {
-		h = mix64(h, v)
+	var h uint64
+	for i, v := range sy.spec.RemapCells(nil, c.vals, c.wmask, perm) {
+		h += mix64(cellSeed(i), v)
 	}
 	own := make([]uint64, len(c.vals))
 	for q := range c.hist {
@@ -205,7 +206,7 @@ func (c *replayCore) symDigest(sy *symCanon, k int, sleep uint64) (uint64, bool)
 			}
 			d = chainEntry(d, ren.shape(), ren.ret, ren.aux)
 		}
-		h = mixHist(h, len(hh), d)
+		h += mixHist(procSeed(q), len(hh), d)
 	}
 	return mix64(h, remapPidMask(sleep, perm)), true
 }
@@ -286,6 +287,16 @@ func checkFold(t testing.TB, c *replayCore, tr *sim.Trace, sched []int) {
 	if got := c.stateHash(); got != want.hash {
 		t.Fatalf("at %v: stateHash %#x, scratch %#x", sched, got, want.hash)
 	}
+}
+
+// crashedIn reports whether schedule crashes pid.
+func crashedIn(schedule []int, pid int) bool {
+	for _, s := range schedule {
+		if s == -pid-1 {
+			return true
+		}
+	}
+	return false
 }
 
 // foldWalkMaxLen bounds a walk's schedule; a move that would extend past
@@ -439,7 +450,7 @@ func TestPeekKeyMatchesChild(t *testing.T) {
 					pend := e.core.pendingOps()
 					keys := make([]uint64, nb)
 					for i := range nb {
-						k, ok := e.peekKey(branchEntry(live, i), live, pend)
+						k, ok := e.peekKey(live, pend, i)
 						if !ok {
 							t.Fatalf("at %v: branch %d cannot be peeked", sched, branchEntry(live, i))
 						}

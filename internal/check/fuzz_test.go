@@ -16,7 +16,8 @@ package check_test
 // ends with an output). Even there it is not a theorem: coverage-guided
 // fuzzing finds programs on which DPOR misses a violation the reference
 // finds — the input "90010017007001010" is one — and such an input is
-// not pinned in testdata/fuzz while it fails. Nor does the harness make
+// not pinned in testdata/fuzz while it fails (mutant_test.go pins the
+// reference's refutation of that one). Nor does the harness make
 // DPOR sound in general: mutant_test.go holds two broken locks, with
 // spin loops and phase marks, that the reference refutes and DPOR
 // proves.

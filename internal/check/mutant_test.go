@@ -1,8 +1,9 @@
 package check_test
 
 // Seeded mutants of two of the portfolio's locks, each broken by a
-// one-line change. They are test-only bodies, not portfolio entries:
-// the reference exploration must refute both at n = 2.
+// one-line change, and one random program on which DPOR misses a
+// violation. They are test-only bodies, not portfolio entries: the
+// reference exploration must refute all three.
 
 import (
 	"slices"
@@ -87,16 +88,24 @@ func mutantBuilder(newLock func(mem *sim.Memory) driver.Locker) check.Builder {
 	}
 }
 
-// TestReferenceRefutesSeededMutants pins both mutants against the
-// reference exploration. At n = 2, with one lock round per process, it
-// must refute each one with the witness recorded here, and the witness
-// must replay on a fresh program instance. DPOR is not asserted: its
-// visited-hit compensation (the stateful-DPOR caveat in dpor.go) proves
-// both mutants. It joins this test once ROADMAP item 1 makes it sound.
+// TestReferenceRefutesSeededMutants pins three broken programs against
+// the reference exploration: both mutants at n = 2 with one lock round
+// per process, under mutual exclusion, and the fuzz harness's program
+// "90010017007001010" (fuzz_test.go) under unique outputs, with the
+// harness's options. The reference must refute each one with the
+// witness recorded here, and the witness must replay on a fresh program
+// instance. DPOR is run and logged, not asserted: its visited-hit
+// compensation (the stateful-DPOR caveat in dpor.go) proves both
+// mutants, and it misses the fuzz program's violation. It joins this
+// test once ROADMAP item 1 makes it sound.
 func TestReferenceRefutesSeededMutants(t *testing.T) {
+	mutexOpts := check.Options{MaxDepth: 120, MaxStates: 1 << 19, CollapseSpins: true}
+	fuzzMiss := decodeFuzzProgram([]byte("90010017007001010"))
 	for _, tc := range []struct {
 		name    string
 		build   check.Builder
+		prop    check.Property
+		opts    check.Options
 		states  int
 		witness []int
 	}{
@@ -105,6 +114,8 @@ func TestReferenceRefutesSeededMutants(t *testing.T) {
 			build: mutantBuilder(func(mem *sim.Memory) driver.Locker {
 				return &mutantLamport{x: mem.Register("x", 2), y: mem.Register("y", 2), b: mem.Bits("b", 2)}
 			}),
+			prop:    metrics.CheckMutualExclusion,
+			opts:    mutexOpts,
 			states:  281,
 			witness: []int{0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1},
 		},
@@ -120,25 +131,49 @@ func TestReferenceRefutesSeededMutants(t *testing.T) {
 				mem.DeclarePidValued(l.turn, sim.PidEncExact)
 				return l
 			}),
+			prop:    metrics.CheckMutualExclusion,
+			opts:    mutexOpts,
 			states:  118,
 			witness: []int{0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1},
 		},
+		{
+			name:  "fuzz/90010017007001010",
+			build: fuzzMiss.builder(),
+			prop:  metrics.CheckUniqueOutputs,
+			opts: check.Options{
+				MaxDepth:       64,
+				MaxStates:      fuzzMaxStates,
+				ExploreCrashes: fuzzMiss.crashes,
+			},
+			states:  101,
+			witness: []int{0, 0, 1, 2, 2, 2, 0, 0, 1, 1, 2, 2},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := check.Options{MaxDepth: 120, MaxStates: 1 << 19, CollapseSpins: true}
-			res, err := check.Explore(tc.build, metrics.CheckMutualExclusion, opts)
+			res, err := check.Explore(tc.build, tc.prop, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Violation == nil {
-				t.Fatalf("reference proved the mutant: %d states, %d runs, truncated=%v", res.States, res.Runs, res.Truncated)
+				t.Fatalf("reference proved it: %d states, %d runs, truncated=%v", res.States, res.Runs, res.Truncated)
 			}
 			if !slices.Equal(res.Violation.Schedule, tc.witness) || res.States != tc.states {
 				t.Errorf("refuted in %d states with witness %v, want %d states and %v",
 					res.States, res.Violation.Schedule, tc.states, tc.witness)
 			}
-			if !witnessReplays(t, tc.build, metrics.CheckMutualExclusion, opts, res.Violation.Schedule) {
+			if !witnessReplays(t, tc.build, tc.prop, tc.opts, res.Violation.Schedule) {
 				t.Errorf("witness %v does not replay", res.Violation.Schedule)
+			}
+			dopts := tc.opts
+			dopts.DPOR = true
+			dres, err := check.Explore(tc.build, tc.prop, dopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dres.Violation == nil {
+				t.Logf("DPOR (not asserted) proves it: %d states, %d runs", dres.States, dres.Runs)
+			} else {
+				t.Logf("DPOR (not asserted) refutes it with witness %v", dres.Violation.Schedule)
 			}
 		})
 	}

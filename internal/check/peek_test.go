@@ -45,7 +45,6 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 		opts:      opts,
 		maxDepth:  opts.MaxDepth,
 		maxStates: 1 << 20,
-		visited:   make(map[uint64]struct{}),
 	}
 	if err := e.core.init(peekBuilder(3), e.maxDepth, opts.CollapseSpins); err != nil {
 		t.Fatal(err)
@@ -97,9 +96,9 @@ func TestSiblingPeekSkipsReplays(t *testing.T) {
 	if truncated || e.truncated {
 		t.Fatalf("truncated: peeked=%v reference=%v", e.truncated, truncated)
 	}
-	if len(e.visited) != len(visited) || e.runs != runs {
+	if e.visited.len() != len(visited) || e.runs != runs {
 		t.Fatalf("peeked serial exploration diverged: states %d vs %d, runs %d vs %d",
-			len(e.visited), len(visited), e.runs, runs)
+			e.visited.len(), len(visited), e.runs, runs)
 	}
-	t.Logf("states=%d runs=%d peeked=%d", len(e.visited), e.runs, e.peeked)
+	t.Logf("states=%d runs=%d peeked=%d", e.visited.len(), e.runs, e.peeked)
 }

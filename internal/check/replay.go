@@ -46,6 +46,23 @@ type replayCore struct {
 	undo   []foldUndo
 	vals   []uint64
 
+	// The state digest (see stateHash): seeds and terms hold one entry
+	// per cell, then one per process; sum is the sum of terms. fold and
+	// unfold list in touched the terms they change, and the next key
+	// re-mixes only those, reading vals and the histories as they stand
+	// then, so no old value needs keeping. stale — a new session, or
+	// more touches than there are terms — re-mixes every term instead.
+	seeds   []uint64
+	terms   []uint64
+	sum     uint64
+	touched []int32
+	stale   bool
+
+	// lives[d] backs the live set stateAt returns for a schedule of
+	// length d, which the serial explorer reads while it recurses below
+	// the node.
+	lives [][]int
+
 	// Symmetry-reduction state (see symmetry.go): permuted cell values,
 	// the per-view permutation-behaviour cache, and the permuted chain
 	// cache, whose cached prefixes the fold cuts back wherever it
@@ -71,7 +88,17 @@ func (c *replayCore) init(build Builder, maxDepth int, collapse bool) error {
 	c.hist = make([][]histEntry, len(procs))
 	c.chain = make([][]uint64, len(procs))
 	c.status = make([]uint8, len(procs))
-	c.wmask = make([]uint64, mem.NumCells())
+	ncells := mem.NumCells()
+	c.wmask = make([]uint64, ncells)
+	c.seeds = make([]uint64, ncells+len(procs))
+	for i := range ncells {
+		c.seeds[i] = cellSeed(i)
+	}
+	for q := range procs {
+		c.seeds[ncells+q] = procSeed(q)
+	}
+	c.terms = make([]uint64, len(c.seeds))
+	c.touched = make([]int32, 0, len(c.seeds))
 	return nil
 }
 
@@ -117,6 +144,7 @@ func (c *replayCore) stateAt(schedule []int) (*sim.Trace, []int, error) {
 		}
 		c.sess = sess
 		c.unfold(0)
+		c.stale = true
 	}
 	// Pop the fold back to the events the Seek keeps: those before the
 	// first decision where the stack and schedule differ. An errored
@@ -146,16 +174,21 @@ func (c *replayCore) stateAt(schedule []int) (*sim.Trace, []int, error) {
 	}
 	c.vals = c.sess.Values()
 
-	// Live processes: have a body, not done, not crashed. live is
-	// allocated per node: it must survive recursion below the node
-	// (serial) or child generation (parallel), unlike the trace and the
-	// fold.
-	live := make([]int, 0, len(c.procs))
+	// Live processes: have a body, not done, not crashed. live must
+	// survive the serial explorer's recursion below the node, unlike the
+	// trace and the fold, so each depth has its own buffer: it is valid
+	// until the next stateAt of a schedule of the same length.
+	d := len(schedule)
+	for len(c.lives) <= d {
+		c.lives = append(c.lives, make([]int, 0, len(c.procs)))
+	}
+	live := c.lives[d][:0]
 	for pid := 0; pid < len(c.procs); pid++ {
 		if c.procs[pid] != nil && c.status[pid] == 0 {
 			live = append(live, pid)
 		}
 	}
+	c.lives[d] = live
 	return tr, live, nil
 }
 
@@ -231,19 +264,24 @@ func (c *replayCore) fold(ev *sim.Event) {
 		u := &c.undo[len(c.undo)-1]
 		u.cell, u.wmask = ev.Cell, c.wmask[ev.Cell]
 		c.wmask[ev.Cell] |= viewMask(ev.Shift, ev.Width)
+		c.touch(int(ev.Cell))
 	}
 	e := entryOf(ev)
 	h := c.hist[pid]
 	if n := c.appendLen(pid, e); n <= len(h) {
 		// Another iteration of a busy-wait period: the canonical history
 		// falls back to its prefix of length n, whose chain digests are
-		// already there.
-		c.sym.cut(h, pid, n)
-		c.hist[pid], c.chain[pid] = h[:n], c.chain[pid][:n]
+		// already there. A period of one leaves it as it was.
+		if n < len(h) {
+			c.sym.cut(h, pid, n)
+			c.hist[pid], c.chain[pid] = h[:n], c.chain[pid][:n]
+			c.touch(len(c.wmask) + pid)
+		}
 		return
 	}
 	c.chain[pid] = append(c.chain[pid], chainEntry(c.histDigest(pid), e.shape(), e.ret, e.aux))
 	c.hist[pid] = append(h, e)
+	c.touch(len(c.wmask) + pid)
 }
 
 // unfold pops folded events until only the first keep remain.
@@ -255,8 +293,13 @@ func (c *replayCore) unfold(keep int) {
 		c.status[pid] = u.status
 		if u.cell >= 0 {
 			c.wmask[u.cell] = u.wmask
+			c.touch(int(u.cell))
 		}
 		n := len(c.hist[pid])
+		if n == plen {
+			continue // a termination mark, or a spin period of one
+		}
+		c.touch(len(c.wmask) + pid)
 		c.sym.cut(c.hist[pid], pid, min(n, plen))
 		h, ch := c.hist[pid][:plen], c.chain[pid][:plen]
 		c.hist[pid], c.chain[pid] = h, ch
@@ -276,7 +319,8 @@ func (c *replayCore) unfold(keep int) {
 	}
 }
 
-// hashSeed is an arbitrary odd constant seeding the state digest.
+// hashSeed is an arbitrary odd constant the digest's term seeds derive
+// from.
 const hashSeed = 14695981039346656037
 
 // viewMask is the cell-coordinate bit mask of a register view.
@@ -325,42 +369,89 @@ func (c *replayCore) histDigest(pid int) uint64 {
 	return 0
 }
 
-// mixHist is the state digest's per-process step: the history's length
-// (collapse-aware) and chain digest, mixed in pid order after the cell
-// values. stateHash, peekKey and canonicalKey all combine through it.
+// mixHist is the state digest's per-process term, keyed by h: the
+// history's length (collapse-aware) and chain digest. For a fixed h and
+// length it is a bijection of the chain digest.
 func mixHist(h uint64, n int, d uint64) uint64 {
 	return mix64(mix64(h, uint64(n)<<32|0xabcd), d)
 }
 
-// stateHash digests the state the last stateAt reached: the cell values,
-// then each process's (history length, chain digest). Two prefixes with
-// equal hashes lead to identical futures. With collapse, trailing
-// busy-wait periods in each history are reduced to one occurrence (see
-// Options.CollapseSpins). It costs O(cells + processes): the histories
-// were folded event by event as the session moved.
+// cellSeed and procSeed key the digest's terms by position: cell i
+// contributes mix64(cellSeed(i), value), a bijection of the value, and
+// process q mixHist(procSeed(q), length, chain digest).
+func cellSeed(i int) uint64 { return mix64(hashSeed, uint64(i)) }
+
+func procSeed(q int) uint64 { return mix64(hashSeed, uint64(q)|1<<63) }
+
+// touch notes that term k (cell k, or process k-len(wmask)) changed and
+// must be re-mixed before the next key.
+func (c *replayCore) touch(k int) {
+	if c.stale {
+		return
+	}
+	if len(c.touched) == cap(c.touched) {
+		c.stale = true // re-mixing every term is now the cheaper way
+		return
+	}
+	c.touched = append(c.touched, int32(k))
+}
+
+// term is term k of the state the last stateAt reached.
+func (c *replayCore) term(k int) uint64 {
+	nc := len(c.wmask)
+	if k < nc {
+		return mix64(c.seeds[k], c.vals[k])
+	}
+	return mixHist(c.seeds[k], len(c.hist[k-nc]), c.histDigest(k-nc))
+}
+
+// refresh brings terms and sum up to the state the last stateAt
+// reached, re-mixing the touched terms only.
+func (c *replayCore) refresh() {
+	if c.stale {
+		c.sum = 0
+		for k := range c.terms {
+			c.terms[k] = c.term(k)
+			c.sum += c.terms[k]
+		}
+		c.stale = false
+	} else {
+		for _, k := range c.touched {
+			t := c.term(int(k))
+			c.sum += t - c.terms[k]
+			c.terms[k] = t
+		}
+	}
+	c.touched = c.touched[:0]
+}
+
+// stateHash digests the state the last stateAt reached: the sum, mod
+// 2^64, of one term per cell (its value) and one per process (its
+// history's length and chain digest). Two prefixes with equal hashes
+// lead to identical futures. With collapse, trailing busy-wait periods
+// in each history are reduced to one occurrence (see
+// Options.CollapseSpins). The sum is kept current: it costs O(terms the
+// session's move touched), as the fold and unfold between two keys list
+// them.
 func (c *replayCore) stateHash() uint64 {
-	return c.successorHash(-1, 0, -1, 0, 0)
+	c.refresh()
+	return c.sum
 }
 
 // successorHash is stateHash of a state that differs from the folded one
 // at most in one cell's value (cell < 0: none) and one process's history,
 // which has length n and chain digest d (pid < 0: none) — the shape of
 // every one-step successor, which is how the sibling peek keys a child
-// without replaying it.
+// without replaying it. It swaps at most two terms of the sum: O(1).
 func (c *replayCore) successorHash(cell int32, val uint64, pid, n int, d uint64) uint64 {
-	h := uint64(hashSeed)
-	for i, v := range c.vals {
-		if int32(i) == cell {
-			v = val
-		}
-		h = mix64(h, v)
+	c.refresh()
+	h := c.sum
+	if cell >= 0 {
+		h += mix64(c.seeds[cell], val) - c.terms[cell]
 	}
-	for q := range c.hist {
-		if q == pid {
-			h = mixHist(h, n, d)
-		} else {
-			h = mixHist(h, len(c.hist[q]), c.histDigest(q))
-		}
+	if pid >= 0 {
+		k := len(c.wmask) + pid
+		h += mixHist(c.seeds[k], n, d) - c.terms[k]
 	}
 	return h
 }
@@ -426,16 +517,25 @@ func (c *replayCore) pendingOps() []sim.PendingOp {
 }
 
 // pendingEntry materialises the histEntry that performing po would append
-// to its process's observation history. For an access the return value is
-// computed from the current cell values — c.vals, set by the stateAt call
-// for this node — exactly as the run loop's perform would.
+// to its process's observation history (see pendingStep).
 func (c *replayCore) pendingEntry(po sim.PendingOp) histEntry {
+	en, _ := c.pendingStep(&po)
+	return en
+}
+
+// pendingStep is pendingEntry plus, for an access, the value po's cell
+// holds after it (for any other step, 0), from one Apply. The return
+// value is computed from the current cell values — c.vals, set by the
+// stateAt call for this node — exactly as the run loop's perform would.
+func (c *replayCore) pendingStep(po *sim.PendingOp) (histEntry, uint64) {
 	v := histEntry{kind: uint8(po.Kind)}
+	var val uint64
 	switch po.Kind {
 	case sim.KindAccess:
 		mask := po.Acc().Mask()
-		old := (c.vals[po.Cell] & mask) >> po.Shift
-		_, ret, _ := po.Op.Apply(old, po.Arg)
+		cur := c.vals[po.Cell]
+		next, ret, _ := po.Op.Apply((cur&mask)>>po.Shift, po.Arg)
+		val = cur&^mask | (next<<po.Shift)&mask
 		v.op = uint8(po.Op)
 		v.shift = po.Shift
 		v.width = po.Width
@@ -447,7 +547,7 @@ func (c *replayCore) pendingEntry(po sim.PendingOp) histEntry {
 	case sim.KindOutput:
 		v.aux = po.Out
 	}
-	return v
+	return v, val
 }
 
 // progresses reports whether appending e to pid's canonical history
@@ -465,13 +565,4 @@ func (c *replayCore) pendingEntry(po sim.PendingOp) histEntry {
 // collapsing step never postpones the other processes around a cycle.
 func (c *replayCore) progresses(pid int, e histEntry) bool {
 	return c.appendLen(pid, e) > len(c.hist[pid])
-}
-
-func crashedIn(schedule []int, pid int) bool {
-	for _, s := range schedule {
-		if s == -pid-1 {
-			return true
-		}
-	}
-	return false
 }

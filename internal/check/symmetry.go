@@ -26,8 +26,10 @@ import (
 // The permuted digest is assembled from the state the preceding stateAt
 // call folded (c.vals, c.wmask, c.hist): cell values are remapped
 // through SymSpec.RemapCells, per-pid histories are read in permuted
-// slot order, the slots combine through the same mixHist as stateHash,
-// and the (live-normalised) sleep mask is permuted alongside. A
+// slot order, each slot contributes the term stateHash would give it
+// (mix64 of its cell seed and value, mixHist of its process seed,
+// length and chain digest), the terms are summed, and the
+// (live-normalised) sleep mask is permuted alongside. A
 // permuted history's chain digest cannot be read off the fold — the
 // remap rewrites its entries, each recorded access relocated/rewritten
 // through its ViewDesc — so the core keeps a second chain per process:
@@ -281,11 +283,13 @@ func remapAccess(spec *sim.SymSpec, d sim.ViewDesc, perm []int, en histEntry, ow
 
 // canonicalKey is the node's visited-set key: with symmetry, the
 // minimum digest over the permutation group; without (sy == nil, or an
-// unmappable view), the identity digest mix64(base, sleep). It must
-// follow the node's stateAt; the histories' permuted chains come from
-// the cache, extended to the folded histories first.
+// unmappable view), the identity digest mix64(base, sleep), base being
+// stateHash. Under each permutation it sums the same terms stateHash
+// does, slot by slot. It must follow the node's stateAt; the histories'
+// permuted chains come from the cache, extended to the folded histories
+// first.
 func (c *replayCore) canonicalKey(sy *symCanon, base, sleep uint64) uint64 {
-	best := mix64(base, sleep) // == the identity digest: same chainEntry, same mixHist, same order
+	best := mix64(base, sleep) // == the identity digest: the same terms, summed
 	if sy == nil {
 		return best
 	}
@@ -297,16 +301,17 @@ func (c *replayCore) canonicalKey(sy *symCanon, base, sleep uint64) uint64 {
 			return best
 		}
 	}
+	nc := len(c.wmask)
 	for k := 1; k < len(sy.perms); k++ {
 		perm, inv := sy.perms[k], sy.invs[k]
-		h := uint64(hashSeed)
+		var h uint64
 		c.symVals = sy.spec.RemapCells(c.symVals, c.vals, c.wmask, perm)
-		for _, v := range c.symVals {
-			h = mix64(h, v)
+		for i, v := range c.symVals {
+			h += mix64(c.seeds[i], v)
 		}
 		for q := range c.hist {
 			// Slot q of the permuted run is old pid inv[q].
-			h = mixHist(h, len(c.hist[inv[q]]), c.sym.digest(inv[q], k))
+			h += mixHist(c.seeds[nc+q], len(c.hist[inv[q]]), c.sym.digest(inv[q], k))
 		}
 		if d := mix64(h, remapPidMask(sleep, perm)); d < best {
 			best = d

@@ -52,7 +52,7 @@
 // the offending connection; a job exceeding the coordinator's job
 // timeout is reported DEGRADED instead of wedging the run.
 //
-// # Wire format (protocol v6)
+// # Wire format (protocol v7)
 //
 // A frame is a 4-byte big-endian payload length, at most MaxFrame, then
 // the payload: one tag byte naming the message type, then every Msg
@@ -95,6 +95,16 @@
 // (Dial/Serve over an opaque address) carries the byte stream: TCP for
 // real deployments, an in-process pipe (NewPipeTransport) for
 // deterministic tests, leaving room for a durable queue later.
+//
+// Protocol v7 changes, relative to v6:
+//
+//   - the frames are unchanged, but the state digests in wave replies
+//     (WaveReport.Key) are the checker's additive digest, a sum of one
+//     term per cell and per process; a v6 worker's keys would never
+//     match a v7 coordinator's visited keys, so the run would
+//     double-count states instead of failing;
+//   - a version 6 hello decodes under version 7, and the version check
+//     at hello drops it.
 //
 // Protocol v6 changes, relative to v5:
 //

@@ -416,8 +416,10 @@ func TestJobTimeoutDegrades(t *testing.T) {
 // worker is dropped at hello, and the run completes on a good one. A
 // protocol version 2 worker's hello is JSON, and a version 4 worker's
 // carries a count field version 5 dropped, so neither decodes as a
-// version 6 frame at all; their connections are dropped the same way.
-// A version 5 worker's hello decodes, and the version check drops it.
+// version 7 frame at all; their connections are dropped the same way.
+// Version 5 and 6 workers' hellos decode, and the version check drops
+// them: a version 6 worker's digests would never match this version's
+// visited keys.
 func TestProtocolVersionMismatch(t *testing.T) {
 	jobs := testJobs()[:1]
 	want := singleProcess(t, jobs)
@@ -462,6 +464,14 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	if _, err := v5.rwc.Write(v5Hello); err != nil {
 		t.Fatalf("v5 hello: %v", err)
 	}
+	var m6 fabric.Msg
+	if err := fabric.ReadFrame(bytes.NewReader(v6Hello), &m6); err != nil || m6.T != fabric.MsgHello || m6.V != 6 {
+		t.Fatalf("the v6 hello should decode as a version 6 hello: %+v, %v", m6, err)
+	}
+	v6 := dialRaw(t, pt, "coord")
+	if _, err := v6.rwc.Write(v6Hello); err != nil {
+		t.Fatalf("v6 hello: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -475,7 +485,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	wg.Wait()
 	// A dropped connection reads end of stream; one the coordinator kept
 	// would have been sent bye.
-	for name, c := range map[string]*rawConn{"future": future, "v2": v2, "v3": v3, "v4": v4, "v5": v5} {
+	for name, c := range map[string]*rawConn{"future": future, "v2": v2, "v3": v3, "v4": v4, "v5": v5, "v6": v6} {
 		var m fabric.Msg
 		if err := fabric.ReadFrame(c.rwc, &m); err == nil {
 			t.Errorf("%s worker was sent a %q frame; its connection should have been dropped at hello", name, m.T)

@@ -28,8 +28,12 @@ import (
 // version 4 hello carries one more count byte than a version 5 one and
 // fails to decode. Version 6 dropped a result's PORAuto fallback bit
 // along with the static reduction; a version 5 hello carries no result,
-// so it decodes, and the version check drops it.
-const ProtoVersion = 6
+// so it decodes, and the version check drops it. Version 7 changed the
+// state digest behind WaveReport.Key again, to the checker's additive
+// digest; the frames are version 6's, so a version 6 hello decodes, and
+// only the version check keeps its never-matching keys out of the
+// coordinator's visited set.
+const ProtoVersion = 7
 
 // MaxFrame bounds a single frame's payload. A frame announcing a larger
 // length is a protocol violation and drops the connection. ReadFrame

@@ -105,6 +105,12 @@ var v4Hello = rawFrame([]byte{0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 // and only the version check drops it.
 var v5Hello = rawFrame([]byte{0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 
+// v6Hello is a protocol version 6 worker's hello as it went on the wire:
+// tag 0, V 6, then ten zero fields. Version 7 changed no frame, only
+// the digests wave replies carry, so it decodes under version 7 and
+// only the version check drops it.
+var v6Hello = rawFrame([]byte{0, 12, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+
 // TestFrameRoundTrip requires ReadFrame(WriteFrame(m)) to equal m for a
 // Msg with every wire field set, under every message type, and for a
 // Msg whose slices hold zero-valued elements.
@@ -232,6 +238,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(rawFrame(append(huge, make([]byte, 64)...)))
 	f.Add(v4Hello)
 	f.Add(v5Hello)
+	f.Add(v6Hello)
 	// A header declaring the largest legal frame, then a few bytes.
 	f.Add(append(binary.BigEndian.AppendUint32(nil, fabric.MaxFrame), 1, 2, 3, 4))
 

@@ -115,6 +115,10 @@ func (t Tournament) New(mem *sim.Memory, n int) (Instance, error) {
 		return nil, fmt.Errorf("mutex: tournament needs n >= 1, got %d", n)
 	}
 	inst := &tournamentInstance{arity: t.Arity(), depth: t.Depth(n)}
+	inst.paths = make([][][2]int, n)
+	for pid := range inst.paths {
+		inst.paths[pid] = inst.path(pid)
+	}
 	if inst.depth == 0 {
 		return inst, nil // single process: no arbitration needed
 	}
@@ -166,10 +170,11 @@ type tournamentInstance struct {
 	arity  int
 	depth  int
 	levels [][]treeNode // levels[0] = leaves
+	paths  [][][2]int   // paths[pid] = path(pid), built once by New
 }
 
-// path returns, for the calling process, the (node, slot) pair at every
-// level from leaf to root.
+// path returns, for process pid, the (node, slot) pair at every level
+// from leaf to root.
 func (ti *tournamentInstance) path(pid int) [][2]int {
 	out := make([][2]int, 0, ti.depth)
 	idx := pid
@@ -182,7 +187,7 @@ func (ti *tournamentInstance) path(pid int) [][2]int {
 
 // Lock implements Instance: win every node from the leaf to the root.
 func (ti *tournamentInstance) Lock(p *sim.Proc) {
-	for j, pos := range ti.path(p.ID()) {
+	for j, pos := range ti.paths[p.ID()] {
 		ti.levels[j][pos[0]].lockSlot(p, pos[1])
 	}
 }
@@ -202,7 +207,7 @@ func (ti *tournamentInstance) Lock(p *sim.Proc) {
 // successor is active at that node. The step and register counts are
 // unchanged (the exit code still visits each node on the path once).
 func (ti *tournamentInstance) Unlock(p *sim.Proc) {
-	path := ti.path(p.ID())
+	path := ti.paths[p.ID()]
 	for j := len(path) - 1; j >= 0; j-- {
 		ti.levels[j][path[j][0]].unlockSlot(p, path[j][1])
 	}
